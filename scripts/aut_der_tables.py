@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from evoalg import (
-    GF,
     CanonicalKey,
     Fel,
     aut_closed_form,
@@ -20,17 +19,7 @@ from evoalg import (
     canonical_msc,
     der_solve,
 )
-
-
-def _field_of(q: int):
-    for p in (2, 3, 5, 7, 11, 13):
-        k, n = 0, q
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1 and k >= 1:
-            return GF(p, k) if k > 1 else GF(p)
-    raise SystemExit(f"{q} is not a prime power at desk scale")
+from run_census import field_of
 
 
 def keys_for(field):
@@ -57,7 +46,7 @@ def main() -> int:
     ap.add_argument("--fields", type=int, nargs="+", default=[4, 5, 7, 9])
     args = ap.parse_args()
     for q in args.fields:
-        F = _field_of(q)
+        F = field_of(q)
         print(f"\n{F!r}  (characteristic {F.char})")
         print(f"  {'family':16} {'|Aut| closed':>12} {'|Aut| brute':>12} {'dim Der':>8}")
         for name, k in keys_for(F):

@@ -61,7 +61,6 @@ from .autgroup import (
 )
 from .derivations import (
     DerBasis,
-    DerivationMatrix,
     der_check,
     der_closed_form,
     der_solve,

@@ -19,20 +19,21 @@ from fractions import Fraction
 
 from .classify import CanonicalKey, UnsupportedKey
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, embed, find_root
-from .msc import Mat2, Msc, _kron4_raw, _mul_2x4_raw, _mul_rows_kron_raw
+from .msc import BasisChange, Mat2, Msc, transform
 
 
 def aut_check(E: Msc, g: Mat2) -> bool:
-    """True iff g is invertible and gE - E(g (x) g) vanishes entrywise."""
+    """True iff g is invertible and gE - E(g (x) g) vanishes entrywise.
+
+    The change whose g^-1 is g carries E to g^-1 E (g (x) g), which is E
+    exactly when gE = E(g (x) g)."""
     f = E.field
     if g.field is not f:
         raise MixedFields("matrix and structure constants over different fields")
     (p, q), (r, s) = g.e
     if f.sub(f.mul(p, s), f.mul(q, r)) == f.zero:
         return False
-    left = _mul_2x4_raw(f, g.e, E.rows)
-    right = _mul_rows_kron_raw(f, E.rows, _kron4_raw(f, g.e))
-    return left == right
+    return transform(E, BasisChange(g)) == E
 
 
 class TSPoly:
@@ -86,10 +87,6 @@ class TSPoly:
 
     def __repr__(self):
         return f"TSPoly({self.render()!r})"
-
-
-def _ts(d: dict) -> TSPoly:
-    return TSPoly(d)
 
 
 _T = (1, 0)
@@ -181,7 +178,10 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
         if key.params[0].is_zero:
             fam = ParamFamily(
                 f,
-                ((_ts({_1: 1}), _ts({})), (_ts({_T: 1}), _ts({_1: 1, _T: -1}))),
+                (
+                    (TSPoly({_1: 1}), TSPoly({})),
+                    (TSPoly({_T: 1}), TSPoly({_1: 1, _T: -1})),
+                ),
                 1,
                 (("t", Fraction(1)),),
             )
@@ -211,8 +211,8 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
         fam = ParamFamily(
             f,
             (
-                (_ts({_T: 1}), _ts({_1: 1, _T: -1})),
-                (_ts({_1: 1, _T: -1}), _ts({_T: 1})),
+                (TSPoly({_T: 1}), TSPoly({_1: 1, _T: -1})),
+                (TSPoly({_1: 1, _T: -1}), TSPoly({_T: 1})),
             ),
             1,
             excl,
@@ -222,7 +222,7 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
     elif key.label == "E6":
         fam = ParamFamily(
             f,
-            ((_ts({(2, 0): 1}), _ts({_S: 1})), (_ts({}), _ts({_T: 1}))),
+            ((TSPoly({(2, 0): 1}), TSPoly({_S: 1})), (TSPoly({}), TSPoly({_T: 1}))),
             2,
             (("t", Fraction(0)),),
         )

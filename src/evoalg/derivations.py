@@ -20,8 +20,6 @@ from .classify import CanonicalKey, UnsupportedKey
 from .fields import FieldCtx, MixedFields
 from .msc import Mat2, Msc
 
-DerivationMatrix = Mat2
-
 
 def _der_residual_raw(E: Msc, De):
     """Raw 2x4 residual E(D (x) I + I (x) D) - DE for raw 2x2 entries De."""

@@ -299,6 +299,14 @@ class FieldCtx:
         return (field_make, (self.descriptor(),))
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """The rational written in `text` ("n", "n/d" or a decimal)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise FieldError(f"bad rational {text!r}: {e}") from None
+
+
 class Rationals(FieldCtx):
     kind = "Q"
     char = 0
@@ -317,10 +325,7 @@ class Rationals(FieldCtx):
         if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, str):
-            try:
-                return Fraction(x)
-            except (ValueError, ZeroDivisionError) as e:
-                raise FieldError(f"bad rational {x!r}: {e}") from None
+            return _parse_fraction(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -389,7 +394,7 @@ class PrimeField(FieldCtx):
                 raise FieldError(f"{x} has no image in {self}")
             return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
         if isinstance(x, str):
-            return self.coerce(Fraction(x))
+            return self.coerce(_parse_fraction(x))
         if isinstance(x, (list, tuple)) and len(x) == 1:
             return self.coerce(x[0])
         raise FieldError(f"cannot coerce {x!r} into {self}")
@@ -577,7 +582,7 @@ class ExtensionField(FieldCtx):
                 % self.p
             )
         if isinstance(x, str):
-            return self.coerce(Fraction(x))
+            return self.coerce(_parse_fraction(x))
         if isinstance(x, (list, tuple)):
             if len(x) > self.k:
                 raise FieldError(f"coefficient vector {x!r} too long for {self}")
@@ -760,6 +765,21 @@ class Embedding:
 _EMBEDDINGS: dict[tuple, Embedding] = {}
 
 
+def _first_root_raw(f: FieldCtx, coeffs):
+    """First raw element of the finite field f, in canonical order, at which
+    the polynomial with raw coefficients `coeffs` (low degree first)
+    vanishes, or None."""
+    add, mul, z = f.add, f.mul, f.zero
+    rev = tuple(reversed(coeffs))
+    for cand in range(f.order):
+        acc = z
+        for c in rev:
+            acc = add(mul(acc, cand), c)
+        if acc == z:
+            return cand
+    return None
+
+
 def embed(src: FieldCtx, dst: FieldCtx) -> Embedding:
     """The canonical embedding src -> dst (first-root convention)."""
     if src is dst:
@@ -776,15 +796,7 @@ def embed(src: FieldCtx, dst: FieldCtx) -> Embedding:
         emb = Embedding(src, dst)  # residues are the constant indices of dst
     else:
         # send the generator of src to the first root of src's modulus in dst
-        root = None
-        mod = src.modulus
-        for cand in range(dst.order):
-            acc = dst.zero
-            for c in reversed(mod):
-                acc = dst.add(dst.mul(acc, cand), c)
-            if acc == dst.zero:
-                root = cand
-                break
+        root = _first_root_raw(dst, src.modulus)
         if root is None:
             raise FieldError(f"modulus of {src} has no root in {dst}")
         pows = [dst.one]
@@ -899,20 +911,13 @@ def find_root(field: FieldCtx, poly: Poly) -> tuple[FieldCtx, Fel, Embedding]:
         if r is None:
             raise NeedsExtension(poly)
         return field, Fel(field, r), Embedding(field, field)
-    for cand in range(field.order):
-        acc = field.zero
-        for c in reversed(poly.coeffs):
-            acc = field.add(field.mul(acc, cand), c)
-        if acc == field.zero:
-            return field, Fel(field, cand), Embedding(field, field)
+    root = _first_root_raw(field, poly.coeffs)
+    if root is not None:
+        return field, Fel(field, root), Embedding(field, field)
     # no root: for degree 2 or 3 this means irreducible, so one extension of
     # the same degree splits off a root
     ext, emb = extension_of(field, deg)
-    ecoeffs = [emb.raw(c) for c in poly.coeffs]
-    for cand in range(ext.order):
-        acc = ext.zero
-        for c in reversed(ecoeffs):
-            acc = ext.add(ext.mul(acc, cand), c)
-        if acc == ext.zero:
-            return ext, Fel(ext, cand), emb
-    raise FieldError(f"no root of {poly} in {ext}; is it irreducible?")
+    root = _first_root_raw(ext, [emb.raw(c) for c in poly.coeffs])
+    if root is None:
+        raise FieldError(f"no root of {poly} in {ext}; is it irreducible?")
+    return ext, Fel(ext, root), emb

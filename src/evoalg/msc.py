@@ -291,21 +291,12 @@ def kron_square(m: Mat2):
     return tuple(tuple(Fel(m.field, x) for x in row) for row in raw)
 
 
-def _mul_2x4_raw(f: FieldCtx, m2, rows):
-    """Raw product of a 2x2 matrix with a 2x4 matrix."""
-    (a, b), (c, d) = m2
-    add, mul = f.add, f.mul
-    r0, r1 = rows
-    top = tuple(add(mul(a, r0[j]), mul(b, r1[j])) for j in range(4))
-    bot = tuple(add(mul(c, r0[j]), mul(d, r1[j])) for j in range(4))
-    return (top, bot)
-
-
-def _mul_rows_kron_raw(f: FieldCtx, rows, K):
-    """Raw product of a 2x4 matrix with a 4x4 matrix, skipping zero entries."""
+def _act_raw(f: FieldCtx, m, rows, K):
+    """Raw product m . rows . K of a 2x2, a 2x4 and a 4x4 matrix, skipping the
+    zero entries of `rows`."""
     z = f.zero
     add, mul = f.add, f.mul
-    out = []
+    X = []
     for row in rows:
         acc = [z, z, z, z]
         for l in range(4):
@@ -314,8 +305,13 @@ def _mul_rows_kron_raw(f: FieldCtx, rows, K):
                 Kl = K[l]
                 for j in range(4):
                     acc[j] = add(acc[j], mul(x, Kl[j]))
-        out.append(tuple(acc))
-    return tuple(out)
+        X.append(acc)
+    (a, b), (c, d) = m
+    x0, x1 = X
+    return (
+        tuple(add(mul(a, x0[j]), mul(b, x1[j])) for j in range(4)),
+        tuple(add(mul(c, x0[j]), mul(d, x1[j])) for j in range(4)),
+    )
 
 
 def transform(A: Msc, change: BasisChange) -> Msc:
@@ -323,23 +319,19 @@ def transform(A: Msc, change: BasisChange) -> Msc:
     f = A.field
     if change.field is not f:
         raise MixedFields("structure constants and basis change over different fields")
-    K = _kron4_raw(f, change.ginv.e)
-    X = _mul_rows_kron_raw(f, A.rows, K)
-    return Msc(f, _mul_2x4_raw(f, change.g.e, X))
+    return Msc(f, _act_raw(f, change.g.e, A.rows, _kron4_raw(f, change.ginv.e)))
 
 
 @dataclass(frozen=True)
 class TransformedEntries:
     """Closed-form entries of a transformed evolution algebra; the two middle
-    columns of each row agree by construction."""
+    columns of each row agree by construction, so each row keeps one of them."""
 
     a1: Fel
     a2: Fel
-    a3: Fel
     a4: Fel
     b1: Fel
     b2: Fel
-    b3: Fel
     b4: Fel
 
     def as_msc(self) -> Msc:
@@ -347,8 +339,8 @@ class TransformedEntries:
         return Msc(
             f,
             (
-                (self.a1.raw, self.a2.raw, self.a3.raw, self.a4.raw),
-                (self.b1.raw, self.b2.raw, self.b3.raw, self.b4.raw),
+                (self.a1.raw, self.a2.raw, self.a2.raw, self.a4.raw),
+                (self.b1.raw, self.b2.raw, self.b2.raw, self.b4.raw),
             ),
         )
 
@@ -376,4 +368,4 @@ def transform_evolution(E: EvolutionMsc, change: BasisChange) -> TransformedEntr
     b2 = mul(di, add(mul(mul(x1, e1), v1), mul(mul(x2, e2), v2)))
     b4 = mul(di, add(mul(mul(e1, e1), v1), mul(mul(e2, e2), v2)))
     w = lambda r: Fel(f, r)
-    return TransformedEntries(w(a1), w(a2), w(a2), w(a4), w(b1), w(b2), w(b2), w(b4))
+    return TransformedEntries(w(a1), w(a2), w(a4), w(b1), w(b2), w(b4))

@@ -4,8 +4,11 @@ Everything here goes through the defining conditions directly: GL(2,q) is
 enumerated, isomorphisms are found by trying every invertible change of
 basis, automorphisms and derivations by scanning all matrices. The census
 partitions the whole evolution subset of a field's structure-constant space
-into orbits and cross-checks the classifier, the closed-form automorphism
-groups and the derivation solver against the scans.
+into orbits, one pass over GL(2,q) per orbit. Seeding one orbit from each
+key's canonical representative, the same pass collects the changes fixing
+it, so the closed-form automorphism groups are compared with these
+stabilizers, and the classifier and the derivation solver with the orbits
+and the derivation scans.
 """
 
 from __future__ import annotations
@@ -18,16 +21,7 @@ from .autgroup import aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, canonical_msc, classify
 from .derivations import der_check, der_solve, der_closed_form
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed, field_make
-from .msc import (
-    BasisChange,
-    EvolutionMsc,
-    Mat2,
-    Msc,
-    _kron4_raw,
-    _mul_2x4_raw,
-    _mul_rows_kron_raw,
-    transform,
-)
+from .msc import BasisChange, EvolutionMsc, Mat2, Msc, _act_raw, _kron4_raw, transform
 
 _GL_MAX_ORDER = 32  # enumeration scans q^4 matrices
 _CENSUS_MAX_ORDER = 16
@@ -37,21 +31,32 @@ class BudgetExceeded(ValueError):
     """The requested brute-force computation is beyond desk scale."""
 
 
-def gl2_enumerate(field: FieldCtx):
-    """All invertible 2x2 matrices as basis changes, the enumerated entries
-    being those of g^-1, in lexicographic canonical-order on the rows."""
+def _check_scan(field: FieldCtx, what: str):
     if field.order is None:
-        raise InfiniteField("cannot enumerate GL(2) over an infinite field")
+        raise InfiniteField(f"{what} needs a finite field")
     if field.order > _GL_MAX_ORDER:
-        raise BudgetExceeded(f"GL(2, {field.order}) enumeration refused")
-    f = field
+        raise BudgetExceeded(f"{what} over {field} refused")
+
+
+def _gl2_raw(f: FieldCtx):
+    """Raw entries ((a, b), (c, d)) of every invertible 2x2 matrix over a
+    finite field, in lexicographic order."""
+    _check_scan(f, "GL(2) enumeration")
     q = f.order
+    sub, mul, z = f.sub, f.mul, f.zero
     for a in range(q):
         for b in range(q):
             for c in range(q):
                 for d in range(q):
-                    if f.sub(f.mul(a, d), f.mul(b, c)) != f.zero:
-                        yield BasisChange(Mat2(f, ((a, b), (c, d))))
+                    if sub(mul(a, d), mul(b, c)) != z:
+                        yield ((a, b), (c, d))
+
+
+def gl2_enumerate(field: FieldCtx):
+    """All invertible 2x2 matrices as basis changes, the enumerated entries
+    being those of g^-1, in lexicographic canonical-order on the rows."""
+    for m in _gl2_raw(field):
+        yield BasisChange(Mat2(field, m))
 
 
 def brute_iso(E: Msc, F: Msc, K: FieldCtx):
@@ -59,12 +64,9 @@ def brute_iso(E: Msc, F: Msc, K: FieldCtx):
     if E.field is not F.field:
         raise MixedFields("both algebras must share a base field")
     emb = embed(E.field, K)
-    ek = Msc(K, tuple(tuple(emb.raw(v) for v in row) for row in E.rows))
-    fk_rows = tuple(tuple(emb.raw(v) for v in row) for row in F.rows)
+    e_rows, f_rows = (tuple(tuple(map(emb.raw, row)) for row in A.rows) for A in (E, F))
     for change in gl2_enumerate(K):
-        Kr = _kron4_raw(K, change.ginv.e)
-        X = _mul_rows_kron_raw(K, ek.rows, Kr)
-        if _mul_2x4_raw(K, change.g.e, X) == fk_rows:
+        if _act_raw(K, change.g.e, e_rows, _kron4_raw(K, change.ginv.e)) == f_rows:
             return change
     return None
 
@@ -73,44 +75,17 @@ def brute_aut(E: Msc, field: FieldCtx) -> list:
     """All g in GL(2, field) with gE = E(g (x) g), in enumeration order."""
     if E.field is not field:
         raise MixedFields("structure constants must lie in the scanned field")
-    if field.order is None:
-        raise InfiniteField("cannot scan an infinite field")
-    if field.order > _GL_MAX_ORDER:
-        raise BudgetExceeded(f"Aut scan over {field} refused")
-    out = []
-    f = field
-    q = f.order
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if f.sub(f.mul(a, d), f.mul(b, c)) == f.zero:
-                        continue
-                    g = Mat2(f, ((a, b), (c, d)))
-                    if aut_check(E, g):
-                        out.append(g)
-    return out
+    mats = (Mat2(field, m) for m in _gl2_raw(field))
+    return [g for g in mats if aut_check(E, g)]
 
 
 def brute_der(E: Msc, field: FieldCtx) -> list:
     """All matrices (invertible or not) satisfying the derivation condition."""
     if E.field is not field:
         raise MixedFields("structure constants must lie in the scanned field")
-    if field.order is None:
-        raise InfiniteField("cannot scan an infinite field")
-    if field.order > _GL_MAX_ORDER:
-        raise BudgetExceeded(f"derivation scan over {field} refused")
-    out = []
-    f = field
-    q = f.order
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    D = Mat2(f, ((a, b), (c, d)))
-                    if der_check(E, D):
-                        out.append(D)
-    return out
+    _check_scan(field, "derivation scan")
+    mats = (Mat2(field, (m[:2], m[2:])) for m in itertools.product(range(field.order), repeat=4))
+    return [D for D in mats if der_check(E, D)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +158,37 @@ def _phase1_chunk(desc: dict, lo: int, hi: int, max_ext: int):
     return out
 
 
+def _orbit_raw(f: FieldCtx, gl, abcd):
+    """Evolution images of one evolution algebra under the raw group `gl` of
+    (g^-1, g, g^-1 (x) g^-1) triples, and the g^-1 whose change fixes it."""
+    z = f.zero
+    rows = ((abcd[0], z, z, abcd[1]), (abcd[2], z, z, abcd[3]))
+    members, stab = set(), []
+    for ginv, g, K in gl:
+        r0, r1 = _act_raw(f, g, rows, K)
+        if r0[1] == z and r0[2] == z and r1[1] == z and r1[2] == z:
+            m = (r0[0], r0[3], r1[0], r1[3])
+            members.add(m)
+            if m == abcd:
+                stab.append(ginv)
+    return members, stab
+
+
 def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusReport:
     """Classify every evolution algebra over a small finite field and check
     the classifier, automorphism and derivation machinery against brute force.
 
+    One pass over GL(2,q) per orbit yields both the orbit partition and, for
+    the orbit seeded from each key's canonical representative C, the changes
+    fixing C: their g^-1 form Aut(C), which the closed forms are compared with.
+
     Flags:
-      keys_vs_orbits_ok   every GL(2,q)-orbit has a constant key
+      keys_vs_orbits_ok   every GL(2,q)-orbit has a constant key and holds
+                          the canonical representative of no other key
       witnesses_ok        every witness lands exactly on its canonical form
                           within the allowed extension degree
-      aut_closed_form_ok  instantiated closed forms match the Aut scans
+      aut_closed_form_ok  instantiated closed forms match the stabilizers
+                          found in the orbit pass
       der_closed_form_ok  solver, closed forms and derivation scans agree
 
     The result is deterministic and independent of `jobs`.
@@ -222,56 +219,51 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
         keys.append(CanonicalKey(F, label, tuple(Fel(F, p) for p in params)))
         witnesses_ok = witnesses_ok and ok
 
-    # phase 2: orbit partition of the evolution subset under the full group
-    gl_pairs = []
-    for change in gl2_enumerate(F):
-        gl_pairs.append((change.g.e, _kron4_raw(F, change.ginv.e)))
-    gl2_order = len(gl_pairs)
-
-    z = F.zero
-    assigned: dict[tuple, int] = {}
-    orbit_reps: list[tuple] = []
-    orbit_sizes: list[int] = []
-    keys_vs_orbits_ok = True
-    key_by_abcd = {}
-    for idx in range(total):
-        key_by_abcd[_abcd_of_index(q, idx)] = keys[idx]
+    # phase 2: orbit partition of the evolution subset under the full group,
+    # seeded from each key's canonical representative, then the rest in index
+    # order
+    gl = [(m, Mat2(F, m).inverse().e, _kron4_raw(F, m)) for m in _gl2_raw(F)]
+    key_by_abcd = {_abcd_of_index(q, idx): keys[idx] for idx in range(total)}
+    assigned: set[tuple] = set()
+    orbits: list[tuple] = []  # (members, key)
+    aut_of: dict[CanonicalKey, set] = {}
+    shared = False  # some canonical representative lies in an earlier seed's orbit
+    for k in sorted(set(keys), key=lambda kk: kk.sort_key()):
+        C = canonical_msc(k).abcd
+        members, stab = _orbit_raw(F, gl, C)
+        aut_of[k] = {Mat2(F, m) for m in stab}
+        if C in assigned:
+            shared = True
+            continue
+        orbits.append((members, k))
+        assigned |= members
     for idx in range(total):
         abcd = _abcd_of_index(q, idx)
-        if abcd in assigned:
-            continue
-        oid = len(orbit_reps)
-        rows = ((abcd[0], z, z, abcd[1]), (abcd[2], z, z, abcd[3]))
-        members = set()
-        for g_e, kr in gl_pairs:
-            X = _mul_rows_kron_raw(F, rows, kr)
-            (r0, r1) = _mul_2x4_raw(F, g_e, X)
-            if r0[1] == z and r0[2] == z and r1[1] == z and r1[2] == z:
-                members.add((r0[0], r0[3], r1[0], r1[3]))
-        ref_key = key_by_abcd[abcd]
-        for m in members:
-            assigned[m] = oid
-            if key_by_abcd[m] != ref_key:
-                keys_vs_orbits_ok = False
-        orbit_reps.append(abcd)
-        orbit_sizes.append(len(members))
-    if sum(orbit_sizes) != total or len(assigned) != total:
-        keys_vs_orbits_ok = False
+        if abcd not in assigned:
+            members = _orbit_raw(F, gl, abcd)[0]
+            orbits.append((members, key_by_abcd[abcd]))
+            assigned |= members
+    keys_vs_orbits_ok = (
+        not shared
+        and len(assigned) == sum(len(members) for members, _ in orbits) == total
+        and all(key_by_abcd[m] == k for members, k in orbits for m in members)
+    )
 
-    # phase 3: per-key aggregation and oracle comparisons
+    # phase 3: per-key aggregation, each orbit represented by its smallest
+    # member in index order, and oracle comparisons
+    index_of = lambda abcd: sum(v * q**i for i, v in enumerate(abcd))
+    reps = sorted((min(map(index_of, members)), len(members), k) for members, k in orbits)
     by_key: dict[CanonicalKey, dict] = {}
-    for oid, rep in enumerate(orbit_reps):
-        k = key_by_abcd[rep]
+    for rep, size, k in reps:
         slot = by_key.setdefault(k, {"reps": [], "size": 0})
         slot["reps"].append(rep)
-        slot["size"] += orbit_sizes[oid]
+        slot["size"] += size
 
     aut_ok = True
     der_ok = True
     records = []
     for k in sorted(by_key, key=lambda kk: kk.sort_key()):
         C = canonical_msc(k)
-        aut_scan = brute_aut(C, F)
         solved = der_solve(C)
         der_scan = brute_der(C, F)
         span = _span_matrices(F, solved)
@@ -279,7 +271,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
             der_ok = False
         if k.label != "E0":
             inst = aut_instantiate(aut_closed_form(k, F), F)
-            if set(inst) != set(aut_scan):
+            if set(inst) != aut_of[k]:
                 aut_ok = False
             if der_closed_form(k, F) != solved:
                 der_ok = False
@@ -287,10 +279,10 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
             CensusRecord(
                 key=k,
                 orbit_representatives=tuple(
-                    EvolutionMsc(F, rep) for rep in by_key[k]["reps"]
+                    EvolutionMsc(F, _abcd_of_index(q, rep)) for rep in by_key[k]["reps"]
                 ),
                 orbit_size_in_evolution_subset=by_key[k]["size"],
-                brute_aut_order=len(aut_scan),
+                brute_aut_order=len(aut_of[k]),
                 der_dim=solved.dim,
             )
         )
@@ -303,7 +295,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     }
     return CensusReport(
         field=F,
-        gl2_order=gl2_order,
+        gl2_order=len(gl),
         total_evolution_msc=total,
         max_witness_ext=max_witness_ext,
         records=tuple(records),

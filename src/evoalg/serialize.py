@@ -31,10 +31,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def field_to_json(f: FieldCtx) -> dict:
-    return f.descriptor()
-
-
 def field_from_json(obj) -> FieldCtx:
     if not isinstance(obj, dict):
         raise SchemaError(f"field descriptor must be an object, got {obj!r}")

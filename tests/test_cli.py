@@ -2,10 +2,14 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from evoalg.cli import run
 
 Q = {"kind": "Q"}
 GF7 = {"kind": "GF", "p": 7, "k": 1}
+GF5 = {"kind": "GF", "p": 5, "k": 1}
+GF4 = {"kind": "GF", "p": 2, "k": 2}
 
 
 def invoke(capsys, *argv):
@@ -65,6 +69,15 @@ class TestClassify:
     def test_missing_file(self, capsys):
         code, out, err = invoke(capsys, "classify", "-a", "does-not-exist.json")
         assert code == 1 and err
+
+    @pytest.mark.parametrize("field", [GF5, GF4])
+    @pytest.mark.parametrize("text", ["1/0", "abc"])
+    def test_bad_element_string_over_gf(self, capsys, field, text):
+        alg = json.dumps({"field": field, "msc": [text, "1", "1", "1"]})
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evoalg:")
 
 
 class TestAut:

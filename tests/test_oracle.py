@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from evoalg import (
     gl2_enumerate,
     transform,
 )
+from evoalg import oracle
 from evoalg.serialize import census_to_csv, census_to_json, dumps
 
 from conftest import F2, F3, F4, F5, F7
@@ -171,6 +173,21 @@ class TestCensus:
     def test_infinite(self):
         with pytest.raises(InfiniteField):
             census(QQ, 6)
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    def test_json_matches_golden(self, p, k):
+        # the census JSON must not change with the census's implementation
+        golden = Path(__file__).parent / "data" / f"census_gf{p**k}.json"
+        assert dumps(census_to_json(census(GF(p, k)))) == golden.read_text()
+
+    def test_shared_seed_orbit_clears_flags(self, monkeypatch):
+        # every key seeded from one representative: the later seeds land in
+        # an orbit already taken, which must show in the flags, not raise
+        one = canonical_msc(CanonicalKey(F3, "E4"))
+        monkeypatch.setattr(oracle, "canonical_msc", lambda k: one)
+        rep = census(F3, 6)
+        assert not rep.flags["keys_vs_orbits_ok"]
+        assert not rep.ok
 
     def test_max_ext_too_small_fails_witness_flag(self):
         # witnesses over GF(3) need a quadratic extension for some E4-class
