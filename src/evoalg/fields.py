@@ -16,6 +16,7 @@ use, which matters for the brute-force oracle's inner loops.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -299,10 +300,18 @@ class FieldCtx:
         return (field_make, (self.descriptor(),))
 
 
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction(text: str) -> Fraction:
-    """The rational written in `text` ("n", "n/d" or a decimal)."""
+    """The rational written in `text`, which must read "n" or "n/d" with an
+    optional leading minus and ASCII digits only (no sign on d, no spaces)."""
+    m = _FRACTION.fullmatch(text)
+    if m is None:
+        raise FieldError(f"bad rational {text!r}: expected n or n/d")
+    num, den = m.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den) if den is not None else 1)
     except (ValueError, ZeroDivisionError) as e:
         raise FieldError(f"bad rational {text!r}: {e}") from None
 
@@ -833,12 +842,15 @@ def _int_nthroot(x: int, n: int):
         return x
     if n == 2:
         r = math.isqrt(x)
-        return r if r * r == x else None
-    r = round(x ** (1.0 / n))
-    for cand in range(max(r - 2, 1), r + 3):
-        if cand**n == x:
-            return cand
-    return None
+    else:
+        # integer Newton from an upper bound; the iterates fall to floor(x^(1/n))
+        r = 1 << -(-x.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + x // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == x else None
 
 
 def _divisors(n: int) -> list[int]:

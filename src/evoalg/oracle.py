@@ -9,6 +9,13 @@ key's canonical representative, the same pass collects the changes fixing
 it, so the closed-form automorphism groups are compared with these
 stabilizers, and the classifier and the derivation solver with the orbits
 and the derivation scans.
+
+The census's two q^6 loops run over plain-integer field tables: the orbit
+pass evaluates the closed forms of `msc.transform_evolution` and drops an
+image as soon as a middle entry is nonzero, and `brute_der` solves the
+derivation condition, which is linear in the matrix, as a table lookup per
+(x, y, z). Every stabilizer element is checked again through the generic
+product `msc._act_raw`, so the oracle does not rest on the closed forms alone.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from multiprocessing import get_context
 
 from .autgroup import aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, canonical_msc, classify
-from .derivations import der_check, der_solve, der_closed_form
+from .derivations import _der_residual_raw, der_solve, der_closed_form
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed, field_make
 from .msc import BasisChange, EvolutionMsc, Mat2, Msc, _act_raw, _kron4_raw, transform
 
@@ -52,6 +59,13 @@ def _gl2_raw(f: FieldCtx):
                         yield ((a, b), (c, d))
 
 
+def _tables(f: FieldCtx):
+    """Plain-integer add, sub and mul tables of a finite field, indexed
+    [a][b] by raw encodings (raw zero is 0, raw one is 1)."""
+    r = range(f.order)
+    return tuple([[op(a, b) for b in r] for a in r] for op in (f.add, f.sub, f.mul))
+
+
 def gl2_enumerate(field: FieldCtx):
     """All invertible 2x2 matrices as basis changes, the enumerated entries
     being those of g^-1, in lexicographic canonical-order on the rows."""
@@ -80,12 +94,38 @@ def brute_aut(E: Msc, field: FieldCtx) -> list:
 
 
 def brute_der(E: Msc, field: FieldCtx) -> list:
-    """All matrices (invertible or not) satisfying the derivation condition."""
+    """All matrices (invertible or not) satisfying the derivation condition,
+    in `itertools.product` order of their raw entries (x, y, z, t).
+
+    The residual is linear in D: it is x R1 + y R2 + z R3 + t R4 for the
+    residuals R1..R4 of the four unit matrices. The t values are grouped by
+    -t R4, so each (x, y, z) finds the t that cancel x R1 + y R2 + z R3 in one
+    lookup. No linear algebra is involved, so the scan stays independent of
+    `der_solve`."""
     if E.field is not field:
         raise MixedFields("structure constants must lie in the scanned field")
     _check_scan(field, "derivation scan")
-    mats = (Mat2(field, (m[:2], m[2:])) for m in itertools.product(range(field.order), repeat=4))
-    return [D for D in mats if der_check(E, D)]
+    q = field.order
+    add, sub, mul = _tables(field)
+    # R[k][c]: the residual of c times the k-th unit matrix, as 8 raw entries
+    R = []
+    for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+        r0, r1 = _der_residual_raw(E, (u[:2], u[2:]))
+        R.append([[mc[v] for v in r0 + r1] for mc in mul])
+    R1, R2, R3, R4 = R
+    cancel: dict[tuple, list] = {}  # -t R4 -> the t giving it, ascending
+    neg = sub[0]
+    for t in range(q):
+        cancel.setdefault(tuple(neg[v] for v in R4[t]), []).append(t)
+    out = []
+    for x in range(q):
+        for y in range(q):
+            xy = [add[u][v] for u, v in zip(R1[x], R2[y])]
+            for z in range(q):
+                ts = cancel.get(tuple(add[u][v] for u, v in zip(xy, R3[z])))
+                if ts:
+                    out.extend(Mat2(field, ((x, y), (z, t))) for t in ts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +198,54 @@ def _phase1_chunk(desc: dict, lo: int, hi: int, max_ext: int):
     return out
 
 
-def _orbit_raw(f: FieldCtx, gl, abcd):
-    """Evolution images of one evolution algebra under the raw group `gl` of
-    (g^-1, g, g^-1 (x) g^-1) triples, and the g^-1 whose change fixes it."""
-    z = f.zero
-    rows = ((abcd[0], z, z, abcd[1]), (abcd[2], z, z, abcd[3]))
+def _gl_table(f: FieldCtx, tables) -> list:
+    """GL(2,q) for the census orbit kernel: per g^-1 = ((x1, e1), (x2, e2)),
+    its entries, the mul-table rows of x1*e1, x2*e2, x1^2, x2^2, e1^2, e2^2
+    and delta^-1, and g^-1 itself."""
+    _, sub, mul = tables
+    out = []
+    for m in _gl2_raw(f):
+        (x1, e1), (x2, e2) = m
+        mx1, mx2, me1, me2 = mul[x1], mul[x2], mul[e1], mul[e2]
+        out.append((
+            x1, e1, x2, e2,
+            mul[mx1[e1]], mul[mx2[e2]],
+            mul[mx1[x1]], mul[mx2[x2]], mul[me1[e1]], mul[me2[e2]],
+            mul[f.inv(sub[mx1[e2]][mx2[e1]])],
+            m,
+        ))
+    return out
+
+
+def _orbit_raw(tables, gl, abcd):
+    """Evolution images of one evolution algebra under the census group table
+    `gl` (see `_gl_table`), and the g^-1 whose change fixes it.
+
+    Each image comes from the closed forms of `msc.transform_evolution`; an
+    image is dropped as soon as its middle entry a2, then b2, is nonzero, which
+    needs no delta^-1 since delta is a unit."""
+    add, sub, mul = tables
+    a, b, c, d = abcd
+    ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
     members, stab = set(), []
-    for ginv, g, K in gl:
-        r0, r1 = _act_raw(f, g, rows, K)
-        if r0[1] == z and r0[2] == z and r1[1] == z and r1[2] == z:
-            m = (r0[0], r0[3], r1[0], r1[3])
-            members.add(m)
-            if m == abcd:
-                stab.append(ginv)
+    for x1, e1, x2, e2, xe1, xe2, xx1, xx2, ee1, ee2, di, ginv in gl:
+        u1 = sub[ma[e2]][mc[e1]]
+        u2 = sub[mb[e2]][md[e1]]
+        if add[xe1[u1]][xe2[u2]]:
+            continue
+        v1 = sub[mc[x1]][ma[x2]]
+        v2 = sub[md[x1]][mb[x2]]
+        if add[xe1[v1]][xe2[v2]]:
+            continue
+        m = (
+            di[add[xx1[u1]][xx2[u2]]],
+            di[add[ee1[u1]][ee2[u2]]],
+            di[add[xx1[v1]][xx2[v2]]],
+            di[add[ee1[v1]][ee2[v2]]],
+        )
+        members.add(m)
+        if m == abcd:
+            stab.append(ginv)
     return members, stab
 
 
@@ -181,6 +256,9 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     One pass over GL(2,q) per orbit yields both the orbit partition and, for
     the orbit seeded from each key's canonical representative C, the changes
     fixing C: their g^-1 form Aut(C), which the closed forms are compared with.
+    The pass computes images from the closed-form transform over field
+    tables; each element of Aut(C) (C not E0) is then checked again through
+    the generic product, and a miss clears `aut_closed_form_ok`.
 
     Flags:
       keys_vs_orbits_ok   every GL(2,q)-orbit has a constant key and holds
@@ -188,7 +266,8 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
       witnesses_ok        every witness lands exactly on its canonical form
                           within the allowed extension degree
       aut_closed_form_ok  instantiated closed forms match the stabilizers
-                          found in the orbit pass
+                          found in the orbit pass, and the generic product
+                          fixes C under each of them
       der_closed_form_ok  solver, closed forms and derivation scans agree
 
     The result is deterministic and independent of `jobs`.
@@ -222,7 +301,8 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     # phase 2: orbit partition of the evolution subset under the full group,
     # seeded from each key's canonical representative, then the rest in index
     # order
-    gl = [(m, Mat2(F, m).inverse().e, _kron4_raw(F, m)) for m in _gl2_raw(F)]
+    tables = _tables(F)
+    gl = _gl_table(F, tables)
     key_by_abcd = {_abcd_of_index(q, idx): keys[idx] for idx in range(total)}
     assigned: set[tuple] = set()
     orbits: list[tuple] = []  # (members, key)
@@ -230,7 +310,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     shared = False  # some canonical representative lies in an earlier seed's orbit
     for k in sorted(set(keys), key=lambda kk: kk.sort_key()):
         C = canonical_msc(k).abcd
-        members, stab = _orbit_raw(F, gl, C)
+        members, stab = _orbit_raw(tables, gl, C)
         aut_of[k] = {Mat2(F, m) for m in stab}
         if C in assigned:
             shared = True
@@ -240,7 +320,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     for idx in range(total):
         abcd = _abcd_of_index(q, idx)
         if abcd not in assigned:
-            members = _orbit_raw(F, gl, abcd)[0]
+            members = _orbit_raw(tables, gl, abcd)[0]
             orbits.append((members, key_by_abcd[abcd]))
             assigned |= members
     keys_vs_orbits_ok = (
@@ -271,7 +351,12 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
             der_ok = False
         if k.label != "E0":
             inst = aut_instantiate(aut_closed_form(k, F), F)
-            if set(inst) != aut_of[k]:
+            # the stabilizer against the closed forms, and again through the
+            # generic product
+            rows = C.rows
+            if set(inst) != aut_of[k] or not all(
+                _act_raw(F, m.inverse().e, rows, _kron4_raw(F, m.e)) == rows for m in aut_of[k]
+            ):
                 aut_ok = False
             if der_closed_form(k, F) != solved:
                 der_ok = False

@@ -144,6 +144,12 @@ class TestNeedsExtensionOverQ:
         assert res.key.label == "E4"
         assert res.needs_extension == Poly(QQ, [Fraction(-1, 3), 0, 1])
 
+    def test_e3_with_a_large_rational_cube_root(self):
+        E = EvolutionMsc.of(QQ, (0, Fraction(1, 10**48), 1, 0))
+        res = classify(E)
+        assert res.needs_extension is None and verified(E, res)
+        assert res.witness.ginv.entry(0, 0).raw == 10**16
+
     def test_e4_with_rational_root(self):
         res = classify(EvolutionMsc.of(QQ, (1, 1, 0, 0)))
         assert res.needs_extension is None and verified(E := EvolutionMsc.of(QQ, (1, 1, 0, 0)), res)

@@ -70,6 +70,26 @@ class TestClassify:
         code, out, err = invoke(capsys, "classify", "-a", "does-not-exist.json")
         assert code == 1 and err
 
+    @pytest.mark.parametrize("field", [Q, GF5, GF4])
+    @pytest.mark.parametrize(
+        "text",
+        ["1e3", "1e3000000", "1.5", " 3", "3 ", "+3", "1/-2", "1//2", "--1", "0x10", "1_000", "", "\u0663"],
+    )
+    def test_malformed_element_string(self, capsys, field, text):
+        # the element grammar is -?n(/d)? in ASCII digits; anything else ends
+        # with exit 1 and one diagnostic line, without parsing work
+        alg = json.dumps({"field": field, "msc": [text, "1", "1", "1"]})
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evoalg:")
+
+    def test_huge_entry_over_q(self, capsys):
+        alg = json.dumps({"field": Q, "msc": ["0", "1", str(10**400), "0"]})
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert code == 3 and err == ""
+        assert json.loads(out)["needs_extension"] == [f"-1/{10**800}", "0", "0", "1"]
+
     @pytest.mark.parametrize("field", [GF5, GF4])
     @pytest.mark.parametrize("text", ["1/0", "abc"])
     def test_bad_element_string_over_gf(self, capsys, field, text):

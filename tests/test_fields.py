@@ -193,6 +193,23 @@ class TestFindRoot:
         k, r, emb = find_root(QQ, Poly(QQ, [-4, 0, 1]))
         assert k is QQ and r.raw == 2
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("e", [16, 17, 52, 400])
+    def test_exact_rational_roots_of_large_height(self, n, e):
+        # the root 10^e: a float estimate misses it from 10^16 up and
+        # overflows near 10^308
+        u = Fraction(7**n, 10 ** (e * n))
+        k, r, emb = find_root(QQ, Poly(QQ, [-u, *[0] * (n - 1), 1]))
+        assert k is QQ and r.raw == Fraction(7, 10**e)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_powers_have_no_root(self, n):
+        for e in (16, 52, 400):
+            for off in (-1, 1):
+                u = 10 ** (e * n) + off
+                with pytest.raises(NeedsExtension):
+                    find_root(QQ, Poly(QQ, [-u, *[0] * (n - 1), 1]))
+
     def test_needs_extension_over_q(self):
         poly = Poly(QQ, [Fraction(-1, 18), 0, 0, 1])
         with pytest.raises(NeedsExtension) as exc:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from evoalg import (
     EvolutionMsc,
     InfiniteField,
     Mat2,
+    Msc,
     brute_aut,
     brute_der,
     brute_iso,
@@ -18,9 +20,11 @@ from evoalg import (
     census,
     classify,
     gl2_enumerate,
+    is_evolution,
     transform,
 )
 from evoalg import oracle
+from evoalg.derivations import der_check
 from evoalg.serialize import census_to_csv, census_to_json, dumps
 
 from conftest import F2, F3, F4, F5, F7
@@ -116,7 +120,32 @@ class TestBruteAut:
             assert len(orbit) * len(stab) == gl
 
 
+def der_scan_reference(E, field):
+    """The derivation scan by its definition: every matrix, in
+    itertools.product order of (x, y, z, t), that passes der_check."""
+    mats = (Mat2(field, (m[:2], m[2:])) for m in itertools.product(range(field.order), repeat=4))
+    return [D for D in mats if der_check(E, D)]
+
+
+def census_keys(field):
+    q = field.order
+    abcds = itertools.product(range(q), repeat=4)
+    return sorted({classify(EvolutionMsc(field, abcd)).key for abcd in abcds}, key=lambda k: k.sort_key())
+
+
 class TestBruteDer:
+    @pytest.mark.parametrize("field", [F3, F4, F5])
+    def test_matches_the_definition_for_every_key(self, field):
+        for k in census_keys(field):
+            E = canonical_msc(k)
+            assert brute_der(E, field) == der_scan_reference(E, field), k
+
+    def test_matches_the_definition_off_canonical_form(self):
+        algebras = [EvolutionMsc.of(F5, abcd) for abcd in [(1, 2, 3, 4), (0, 1, 1, 0), (2, 0, 0, 0)]]
+        algebras += [Msc.of(F5, ((1, 2, 3, 4), (0, 1, 2, 3))), Msc.of(F5, ((0, 1, 4, 0), (1, 0, 0, 0)))]
+        for E in algebras:
+            assert brute_der(E, F5) == der_scan_reference(E, F5)
+
     def test_degenerate_pair_only_zero(self):
         E = canonical_msc(CanonicalKey(F5, "E1", (2, 4)))
         got = brute_der(E, F5)
@@ -129,6 +158,37 @@ class TestBruteDer:
     def test_e5_gf4_four_matrices(self):
         got = brute_der(canonical_msc(CanonicalKey(F4, "E5")), F4)
         assert len(got) == 4  # dimension 1
+
+
+class TestOrbitKernel:
+    """The census orbit kernel, run on a one-element group table, against the
+    generic transform."""
+
+    def check(self, field, g, abcds):
+        tables = oracle._tables(field)
+        gl = [row for row in oracle._gl_table(field, tables) if row[-1] == g.ginv.e]
+        assert len(gl) == 1
+        for abcd in abcds:
+            E = EvolutionMsc(field, abcd)
+            image = transform(E, g)
+            members, stab = oracle._orbit_raw(tables, gl, abcd)
+            if is_evolution(image):
+                assert members == {image.to_evolution().abcd}
+                assert stab == ([g.ginv.e] if image == E else [])
+            else:
+                assert members == set() and stab == []
+
+    def test_every_change_and_algebra_gf3(self):
+        abcds = list(itertools.product(range(3), repeat=4))
+        for g in gl2_enumerate(F3):
+            self.check(F3, g, abcds)
+
+    def test_sample_gf4(self):
+        rng = random.Random(4)
+        changes = list(gl2_enumerate(F4))
+        abcds = list(itertools.product(range(4), repeat=4))
+        for g in rng.sample(changes, 30):
+            self.check(F4, g, rng.sample(abcds, 64))
 
 
 class TestCensus:
@@ -174,7 +234,11 @@ class TestCensus:
         with pytest.raises(InfiniteField):
             census(QQ, 6)
 
-    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize(
+        "p,k",
+        [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+         pytest.param(2, 4, marks=pytest.mark.slow)],
+    )
     def test_json_matches_golden(self, p, k):
         # the census JSON must not change with the census's implementation
         golden = Path(__file__).parent / "data" / f"census_gf{p**k}.json"
@@ -188,6 +252,23 @@ class TestCensus:
         rep = census(F3, 6)
         assert not rep.flags["keys_vs_orbits_ok"]
         assert not rep.ok
+
+    def test_spot_check_catches_a_wrong_stabilizer_element(self, monkeypatch):
+        # the orbit kernel also accepts a shear for every seed (over GF(3) it
+        # is an automorphism of E0 and E6 only), and the closed forms are made
+        # to agree with it, so only the generic-product spot check can notice
+        bad = Mat2.of(F3, ((1, 1), (0, 1)))
+        kernel, instantiate = oracle._orbit_raw, oracle.aut_instantiate
+
+        def wrong_kernel(tables, gl, abcd):
+            members, stab = kernel(tables, gl, abcd)
+            return members, stab if bad.e in stab else stab + [bad.e]
+
+        monkeypatch.setattr(oracle, "_orbit_raw", wrong_kernel)
+        monkeypatch.setattr(oracle, "aut_instantiate", lambda cf, f: instantiate(cf, f) + [bad])
+        rep = census(F3, 6)
+        assert not rep.flags["aut_closed_form_ok"]
+        assert rep.flags["keys_vs_orbits_ok"] and rep.flags["der_closed_form_ok"]
 
     def test_max_ext_too_small_fails_witness_flag(self):
         # witnesses over GF(3) need a quadratic extension for some E4-class
