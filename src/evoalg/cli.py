@@ -252,6 +252,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # results can run past Python's default 4300-digit limit on int <-> str
+    # conversions; the input size already bounds the work, so lift it
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit came in 3.10.7
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -11,11 +11,22 @@ Extension fields are always single quotients GF(p)[x]/(m) with a monic
 irreducible modulus; towers are flattened into one extension of the prime
 field. Small fields (order <= 128) switch to full lookup tables on first
 use, which matters for the brute-force oracle's inner loops.
+
+Roots over a finite field are the least root in canonical order. A field with
+tables is scanned element by element; in a larger one, the roots come from
+gcd(f, y^q - y) and Cantor-Zassenhaus equal-degree splitting, all of them,
+and the least is taken, so both give the same root. Moduli are proved
+irreducible by Rabin's test, and the default modulus is still the first
+irreducible in base-p scan order. Primality is deterministic Miller-Rabin
+with the prime bases up to 41, exact below 3.317e24; a p at or above that
+bound that no base proves composite is refused with FieldError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 import re
 from fractions import Fraction
 from typing import Iterator
@@ -63,113 +74,173 @@ class NeedsExtension(FieldError):
         self.poly = poly
 
 
+# Miller-Rabin with the prime bases up to 41 decides every n below this bound
+# (Sorenson and Webster 2015); the bound itself is a strong pseudoprime to them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin. A base that witnesses compositeness proves
+    it at any size; an n >= _MR_BOUND that no base witnesses is left
+    undecided and raises FieldError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_BOUND:
+        raise FieldError(
+            f"cannot decide whether {n} is prime: the primality test is exact "
+            f"only below {_MR_BOUND}"
+        )
     return True
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p) as trimmed coefficient tuples, low degree first
+# polynomials over a finite field as trimmed tuples of raw coefficients, low
+# degree first; the field context `f` does the coefficient arithmetic. One
+# toolkit serves Rabin's test over GF(p), inversion in GF(p^k) and root
+# finding over any finite field.
 # ---------------------------------------------------------------------------
 
-def _pf_trim(cs) -> tuple:
+def _poly_trim(cs) -> tuple:
     cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
-def _pf_mul(a, b, p) -> tuple:
+def _poly_sub(a, b, f) -> tuple:
+    n = max(len(a), len(b))
+    a, b = tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
+    return _poly_trim(map(f.sub, a, b))
+
+
+def _poly_mul(a, b, f) -> tuple:
     if not a or not b:
         return ()
+    add, mul = f.add, f.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return _poly_trim(out)
 
 
-def _pf_divmod(a, b, p):
+def _poly_divmod(a, b, f):
+    """Quotient and remainder of a by b != 0. A monic b costs no inversion,
+    so reduction modulo a monic modulus never inverts."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    add, mul, neg = f.add, f.mul, f.neg
+    inv_lead = None if b[-1] == f.one else f.inv(b[-1])
     a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return (), _pf_trim(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * (da - db + 1)
-    for shift in range(da - db, -1, -1):
-        c = a[shift + db] * inv_lead % p
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = a[shift + db]
         if c:
+            if inv_lead is not None:
+                c = mul(c, inv_lead)
             quot[shift] = c
-            for j, bj in enumerate(b):
-                a[shift + j] = (a[shift + j] - c * bj) % p
-    return _pf_trim(quot), _pf_trim(a[:db])
+            c = neg(c)
+            for j in range(db):  # a[shift + db] is not read again
+                if b[j]:
+                    a[shift + j] = add(a[shift + j], mul(c, b[j]))
+    return _poly_trim(quot), _poly_trim(a[:db])
 
 
-def _pf_mod(a, b, p) -> tuple:
-    return _pf_divmod(a, b, p)[1]
+def _poly_rem(a, m, f) -> tuple:
+    return _poly_divmod(a, m, f)[1]
 
 
-def _pf_inverse(a, m, p) -> tuple:
-    """Inverse of a modulo m over GF(p), via the extended Euclidean algorithm."""
-    r0, r1 = _pf_trim(m), _pf_mod(a, m, p)
+def _poly_monic(a, f) -> tuple:
+    if a[-1] == f.one:
+        return a
+    s = f.inv(a[-1])
+    return tuple(f.mul(c, s) for c in a)
+
+
+def _poly_gcd(a, b, f) -> tuple:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _poly_rem(a, b, f)
+    return _poly_monic(a, f)
+
+
+def _poly_powmod(a, n: int, m, f) -> tuple:
+    """a^n modulo the monic m, by square-and-multiply."""
+    acc, a = (f.one,), _poly_rem(a, m, f)
+    while n:
+        if n & 1:
+            acc = _poly_rem(_poly_mul(acc, a, f), m, f)
+        n >>= 1
+        if n:
+            a = _poly_rem(_poly_mul(a, a, f), m, f)
+    return acc
+
+
+def _poly_inverse(a, m, f) -> tuple:
+    """Inverse of a modulo m, via the extended Euclidean algorithm."""
+    r0, r1 = _poly_trim(m), _poly_rem(a, m, f)
     if not r1:
         raise ZeroDivisionError("inverting zero polynomial class")
-    t0, t1 = (), (1,)
+    t0, t1 = (), (f.one,)
     while r1:
-        q, r = _pf_divmod(r0, r1, p)
+        q, r = _poly_divmod(r0, r1, f)
         r0, r1 = r1, r
-        qt = _pf_mul(q, t1, p)
-        nt = [0] * max(len(t0), len(qt))
-        for i, c in enumerate(t0):
-            nt[i] = c
-        for i, c in enumerate(qt):
-            nt[i] = (nt[i] - c) % p
-        t0, t1 = t1, _pf_trim(nt)
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, f), f)
     # r0 is the gcd, a nonzero constant since m is irreducible
-    scale = pow(r0[0], p - 2, p)
-    return _pf_trim([c * scale % p for c in t0])
+    s = f.inv(r0[0])
+    return tuple(f.mul(c, s) for c in t0)
 
 
-def _pf_is_irreducible(m, p) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
+def _pf_is_irreducible(m, f) -> bool:
+    """Rabin's test for a monic m of degree k over the prime field f = GF(p):
+    m is irreducible iff x^(p^k) = x mod m and gcd(x^(p^(k/r)) - x, m) = 1
+    for every prime r | k. The powers x^(p^j) come one Frobenius step at a
+    time."""
     k = len(m) - 1
     if k < 1:
         return False
-    for d in range(1, k // 2 + 1):
-        for idx in range(p**d):
-            g, i = [], idx
-            for _ in range(d):
-                i, r = divmod(i, p)
-                g.append(r)
-            g.append(1)
-            if not _pf_mod(m, tuple(g), p):
-                return False
-    return True
+    if k > 1 and m[0] == 0:
+        return False  # x divides m
+    x = _poly_rem((0, 1), m, f)
+    checks = {k // r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)}
+    h = x
+    for j in range(1, k + 1):
+        h = _poly_powmod(h, f.p, m, f)
+        if j in checks and len(_poly_gcd(m, _poly_sub(h, x, f), f)) > 1:
+            return False
+    return h == x
 
 
 def _first_irreducible(p: int, k: int) -> tuple:
     """First monic irreducible of degree k over GF(p), scanning constant parts
     in base-p counting order. Deterministic across runs."""
+    f = GF(p)
     for idx in range(p**k):
         lows, i = [], idx
         for _ in range(k):
             i, r = divmod(i, p)
             lows.append(r)
         m = (*lows, 1)
-        if _pf_is_irreducible(m, p):
+        if _pf_is_irreducible(m, f):
             return m
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
 
@@ -469,7 +540,8 @@ class ExtensionField(FieldCtx):
             raise DegreeMismatch(
                 f"modulus must be monic of degree {k}, got {list(modulus)}"
             )
-        if not _pf_is_irreducible(m, p):
+        self._base = GF(p)
+        if not _pf_is_irreducible(m, self._base):
             raise ReducibleModulus(f"{list(m)} is reducible over GF({p})")
         self.p = p
         self.k = k
@@ -479,22 +551,17 @@ class ExtensionField(FieldCtx):
         self.zero = 0
         self.one = 1
         self._key = ("GF", p, k, m)
+        self._pows = tuple(p**i for i in range(k))
         self._add_t = self._mul_t = self._neg_t = self._inv_t = None
 
     # -- coefficient/index conversions
 
     def _coeffs(self, i: int) -> list:
-        p, out = self.p, []
-        for _ in range(self.k):
-            i, r = divmod(i, p)
-            out.append(r)
-        return out
+        p = self.p
+        return [i // pw % p for pw in self._pows]
 
     def _index(self, cs) -> int:
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * self.p + c
-        return acc
+        return sum(map(operator.mul, cs, self._pows))
 
     # -- table management
 
@@ -511,21 +578,19 @@ class ExtensionField(FieldCtx):
         return self._index([(x + y) % p for x, y in zip(ca, cb)])
 
     def _mul_slow(self, a, b):
-        p, k = self.p, self.k
+        p, k, m = self.p, self.k, self.modulus
         ca, cb = self._coeffs(a), self._coeffs(b)
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(ca):
             if x:
                 for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        m = self.modulus
+                    prod[i + j] += x * y
         for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
+            c = prod[i] % p
             if c:
-                prod[i] = 0
                 for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * m[j]) % p
-        return self._index(prod[:k])
+                    prod[i - k + j] -= c * m[j]
+        return self._index([c % p for c in prod[:k]])
 
     def _neg_slow(self, a):
         p = self.p
@@ -534,7 +599,7 @@ class ExtensionField(FieldCtx):
     def _inv_slow(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverting zero in {self}")
-        inv = _pf_inverse(_pf_trim(self._coeffs(a)), self.modulus, self.p)
+        inv = _poly_inverse(_poly_trim(self._coeffs(a)), self.modulus, self._base)
         return self._index(list(inv) + [0] * (self.k - len(inv)))
 
     # -- raw ops
@@ -774,10 +839,69 @@ class Embedding:
 _EMBEDDINGS: dict[tuple, Embedding] = {}
 
 
+# fixed seed of the shifts that split a product of linear factors; the roots
+# found do not depend on it, only the number of tries does
+_SPLIT_SEED = 20170101
+
+
+def _split_poly(g, a, f) -> tuple:
+    """A polynomial whose gcd with g, a monic product of distinct linear
+    factors y - r, keeps the r where it vanishes: (y + a)^((q-1)/2) - 1 for
+    odd q (r + a a nonzero square), the trace sum of (a y)^(2^i), i < n, for
+    q = 2^n (trace of a r zero)."""
+    if f.char != 2:
+        return _poly_sub(_poly_powmod((a, f.one), (f.order - 1) // 2, g, f), (f.one,), f)
+    t = acc = _poly_rem(_poly_trim((0, a)), g, f)
+    for _ in range(f.k - 1):
+        t = _poly_rem(_poly_mul(t, t, f), g, f)
+        acc = _poly_sub(acc, t, f)  # in characteristic 2 subtracting is adding
+    return acc
+
+
+def _roots_raw(f: FieldCtx, coeffs) -> list:
+    """Every distinct root, in the finite field f, of the polynomial with raw
+    coefficients `coeffs` (low degree first, not constant).
+
+    The gcd g with y^q - y is the product of the distinct linear factors.
+    Cantor-Zassenhaus equal-degree splitting, with shifts drawn from a
+    fixed-seed sequence over the whole field, cuts g until a linear factor
+    y - r shows. If the coefficients lie in the subfield of order q0, the map
+    r -> r^q0 permutes the roots, so r brings its whole orbit; g loses those
+    factors and the search goes on with what is left.
+    """
+    g = _poly_monic(_poly_trim(coeffs), f)
+    p, k = f.char, f.k
+    q0 = next(
+        p**s for s in range(1, k + 1)
+        if k % s == 0 and all(f.pow_raw(c, p**s) == c for c in g)
+    )
+    y = _poly_rem((0, f.one), g, f)
+    g = _poly_gcd(g, _poly_sub(_poly_powmod(y, f.order, g, f), y, f), f)
+    rng = random.Random(_SPLIT_SEED)
+    roots = []
+    while len(g) > 1:
+        h = g
+        while len(h) > 2:
+            d = _poly_gcd(h, _split_poly(h, rng.randrange(f.order), f), f)
+            if 1 < len(d) < len(h):
+                h = min(d, _poly_divmod(h, d, f)[0], key=len)
+        orbit = [f.neg(h[0])]
+        while (r := f.pow_raw(orbit[-1], q0)) != orbit[0]:
+            orbit.append(r)
+        for r in orbit:
+            g = _poly_divmod(g, (f.neg(r), f.one), f)[0]
+        roots += orbit
+    return roots
+
+
 def _first_root_raw(f: FieldCtx, coeffs):
     """First raw element of the finite field f, in canonical order, at which
     the polynomial with raw coefficients `coeffs` (low degree first)
-    vanishes, or None."""
+    vanishes, or None. Fields of order <= _TABLE_MAX are scanned, where a
+    candidate costs a few table lookups or machine-size residue operations;
+    larger ones take the least of all roots from `_roots_raw`."""
+    if f.order > _TABLE_MAX:
+        return min(_roots_raw(f, coeffs), default=None)
     add, mul, z = f.add, f.mul, f.zero
     rev = tuple(reversed(coeffs))
     for cand in range(f.order):

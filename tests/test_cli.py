@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,50 @@ class TestClassify:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("evoalg:")
+
+    def test_prime_past_the_primality_bound(self, capsys):
+        # 2^89 - 1 is prime, but Miller-Rabin with the bases up to 41 decides
+        # primality only below 3317044064679887385961981
+        alg = json.dumps({"field": {"kind": "GF", "p": 2**89 - 1, "k": 1}, "msc": [1, 2, 3, 4]})
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evoalg: cannot decide")
+
+
+def _evoalg(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "evoalg", *argv], capture_output=True, text=True
+    )
+
+
+class TestPastTheDigitLimit:
+    """Python refuses int <-> str conversions past 4300 digits by default; the
+    command line lifts that limit, since the input size bounds the work."""
+
+    def test_results(self):
+        a, d = "7" * 3000, "3" * 2999 + "1"
+        alg = json.dumps({"field": Q, "msc": [a, "1", "1", d]})
+        proc = _evoalg("classify", "-a", alg)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            # E1{ab/d^2, cd/a^2} with b = c = 1
+            want = {str(Fraction(int(a), int(d) ** 2)), str(Fraction(int(d), int(a) ** 2))}
+            params = json.loads(proc.stdout)["key"]["params"]
+            assert set(params) == want and max(map(len, params)) > 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        proc = _evoalg("aut", "-a", alg)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["key"]["label"] == "E1"
+
+    def test_inputs(self):
+        alg = json.dumps({"field": Q, "msc": ["1" * 5000, "0", "0", "1"]})
+        proc = _evoalg("classify", "-a", alg)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["key"]["label"] == "E1"
 
 
 class TestAut:
