@@ -239,23 +239,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    ap = _build_parser()
+    # results can run past Python's default 4300-digit limit on int <-> str
+    # conversions; the input size already bounds the work, so lift it for the
+    # call and give the caller's limit back afterwards
+    lift = hasattr(sys, "set_int_max_str_digits")  # the limit came in 3.10.7
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    try:
-        return args.fn(args)
     except _INPUT_ERRORS as e:
         print(f"evoalg: {e}", file=sys.stderr)
         return 1
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:
-    # results can run past Python's default 4300-digit limit on int <-> str
-    # conversions; the input size already bounds the work, so lift it
-    if hasattr(sys, "set_int_max_str_digits"):  # the limit came in 3.10.7
-        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -3,9 +3,10 @@
 Field contexts are interned: `field_make` returns the same object for the
 same descriptor, so identity checks between contexts are cheap and pickled
 contexts re-intern on load. Elements are `Fel` values holding a canonical
-raw encoding (a normalized Fraction over Q, a residue in [0, p) over GF(p),
-the base-p integer index of the coefficient vector over GF(p^k)); element
-equality is equality of that encoding. There is no floating point anywhere.
+raw encoding: a normalized Fraction over Q, and over GF(p^k) the base-p
+integer index of the coefficient vector, which GF(p) shares as its k = 1
+case (the residue in [0, p)). Element equality is equality of that encoding.
+There is no floating point anywhere.
 
 Extension fields are always single quotients GF(p)[x]/(m) with a monic
 irreducible modulus; towers are flattened into one extension of the prime
@@ -19,7 +20,8 @@ and the least is taken, so both give the same root. Moduli are proved
 irreducible by Rabin's test, and the default modulus is still the first
 irreducible in base-p scan order. Primality is deterministic Miller-Rabin
 with the prime bases up to 41, exact below 3.317e24; a p at or above that
-bound that no base proves composite is refused with FieldError.
+bound that no base proves composite is refused with FieldError. `field_make`
+checks each descriptor once, before its field is interned.
 """
 
 from __future__ import annotations
@@ -448,25 +450,30 @@ class Rationals(FieldCtx):
         return "Q"
 
 
-class PrimeField(FieldCtx):
+class _FiniteField(FieldCtx):
+    """GF(p^k), k >= 1, with elements indexed by the base-p value of their
+    coefficient vector (c0 least significant). GF(p) is the case k = 1, where
+    the index is the residue itself. Subclasses supply the arithmetic."""
+
     kind = "GF"
+    zero = 0
+    one = 1
 
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise NonPrimeModulus(f"{p} is not prime")
-        self.p = p
-        self.k = 1
-        self.char = p
-        self.order = p
-        self.zero = 0
-        self.one = 1
-        self._key = ("GF", p)
+    def __init__(self, p: int, k: int):
+        self.p = self.char = p
+        self.k = k
+        self.order = p**k
+        self._pows = tuple(p**i for i in range(k))
 
-    def coerce(self, x) -> int:
-        if isinstance(x, Fel):
-            if x.field is not self:
-                raise MixedFields(f"{x.field} element used in {self}")
-            return x.raw
+    def _coeffs(self, i: int) -> list:
+        p = self.p
+        return [i // pw % p for pw in self._pows]
+
+    def _index(self, cs) -> int:
+        return sum(map(operator.mul, cs, self._pows))
+
+    def _residue(self, x) -> int:
+        """The image in GF(p) of an integer, a rational or its string."""
         if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         if isinstance(x, Fraction):
@@ -474,10 +481,47 @@ class PrimeField(FieldCtx):
                 raise FieldError(f"{x} has no image in {self}")
             return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
         if isinstance(x, str):
-            return self.coerce(_parse_fraction(x))
-        if isinstance(x, (list, tuple)) and len(x) == 1:
-            return self.coerce(x[0])
+            return self._residue(_parse_fraction(x))
         raise FieldError(f"cannot coerce {x!r} into {self}")
+
+    def coerce(self, x) -> int:
+        if isinstance(x, Fel):
+            if x.field is not self:
+                raise MixedFields(f"{x.field} element used in {self}")
+            return x.raw
+        if isinstance(x, (list, tuple)):
+            if len(x) > self.k:
+                raise FieldError(f"coefficient vector {x!r} too long for {self}")
+            return self._index([self._residue(c) for c in x])
+        return self._residue(x)  # constants embed as degree-0 vectors
+
+    def elements(self):
+        return (Fel(self, i) for i in range(self.order))
+
+    def text(self, raw) -> list:
+        return self._coeffs(raw)
+
+    def parse(self, obj) -> int:
+        if isinstance(obj, list):
+            if len(obj) != self.k or not all(
+                isinstance(c, int) and not isinstance(c, bool) for c in obj
+            ):
+                raise FieldError(f"bad element encoding {obj!r} for {self}")
+            return self.coerce(obj)
+        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
+            return self.coerce(obj)
+        raise FieldError(f"bad element encoding {obj!r} for {self}")
+
+    def sort_key(self, raw):
+        return raw
+
+
+class PrimeField(_FiniteField):
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise NonPrimeModulus(f"{p} is not prime")
+        super().__init__(p, 1)
+        self._key = ("GF", p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -489,9 +533,7 @@ class PrimeField(FieldCtx):
         return a * b % self.p
 
     def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError(f"division by zero in {self}")
-        return a * pow(b, self.p - 2, self.p) % self.p
+        return a * self.inv(b) % self.p
 
     def neg(self, a):
         return -a % self.p
@@ -501,22 +543,6 @@ class PrimeField(FieldCtx):
             raise ZeroDivisionError(f"inverting zero in {self}")
         return pow(a, self.p - 2, self.p)
 
-    def elements(self):
-        return (Fel(self, i) for i in range(self.p))
-
-    def text(self, raw) -> list:
-        return [raw]
-
-    def parse(self, obj) -> int:
-        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-            return self.coerce(obj)
-        if isinstance(obj, list) and len(obj) == 1 and isinstance(obj[0], int):
-            return self.coerce(obj[0])
-        raise FieldError(f"bad element encoding {obj!r} for {self}")
-
-    def sort_key(self, raw):
-        return raw
-
     def descriptor(self):
         return {"kind": "GF", "p": self.p, "k": 1}
 
@@ -524,44 +550,16 @@ class PrimeField(FieldCtx):
         return f"GF({self.p})"
 
 
-class ExtensionField(FieldCtx):
-    """GF(p^k) = GF(p)[x]/(modulus), elements indexed by the base-p value of
-    their coefficient vector (c0 least significant)."""
+class ExtensionField(_FiniteField):
+    """GF(p^k) = GF(p)[x]/(modulus), k >= 2. `field_make` checks the modulus
+    (monic, irreducible, over the prime field `base`) before it gets here."""
 
-    kind = "GF"
-
-    def __init__(self, p: int, k: int, modulus):
-        if not _is_prime(p):
-            raise NonPrimeModulus(f"{p} is not prime")
-        if k < 2:
-            raise DegreeMismatch("extension degree must be >= 2")
-        m = tuple(int(c) % p for c in modulus)
-        if len(m) != k + 1 or m[-1] != 1:
-            raise DegreeMismatch(
-                f"modulus must be monic of degree {k}, got {list(modulus)}"
-            )
-        self._base = GF(p)
-        if not _pf_is_irreducible(m, self._base):
-            raise ReducibleModulus(f"{list(m)} is reducible over GF({p})")
-        self.p = p
-        self.k = k
-        self.modulus = m
-        self.char = p
-        self.order = p**k
-        self.zero = 0
-        self.one = 1
-        self._key = ("GF", p, k, m)
-        self._pows = tuple(p**i for i in range(k))
+    def __init__(self, base: PrimeField, modulus: tuple):
+        super().__init__(base.p, len(modulus) - 1)
+        self._base = base
+        self.modulus = modulus
+        self._key = ("GF", self.p, self.k, modulus)
         self._add_t = self._mul_t = self._neg_t = self._inv_t = None
-
-    # -- coefficient/index conversions
-
-    def _coeffs(self, i: int) -> list:
-        p = self.p
-        return [i // pw % p for pw in self._pows]
-
-    def _index(self, cs) -> int:
-        return sum(map(operator.mul, cs, self._pows))
 
     # -- table management
 
@@ -640,50 +638,6 @@ class ExtensionField(FieldCtx):
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def coerce(self, x) -> int:
-        if isinstance(x, Fel):
-            if x.field is not self:
-                raise MixedFields(f"{x.field} element used in {self}")
-            return x.raw
-        if isinstance(x, int) and not isinstance(x, bool):
-            return x % self.p  # constants embed as degree-0 vectors
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise FieldError(f"{x} has no image in {self}")
-            return (
-                x.numerator
-                * pow(x.denominator, self.p - 2, self.p)
-                % self.p
-            )
-        if isinstance(x, str):
-            return self.coerce(_parse_fraction(x))
-        if isinstance(x, (list, tuple)):
-            if len(x) > self.k:
-                raise FieldError(f"coefficient vector {x!r} too long for {self}")
-            cs = [int(c) % self.p for c in x] + [0] * (self.k - len(x))
-            return self._index(cs)
-        raise FieldError(f"cannot coerce {x!r} into {self}")
-
-    def elements(self):
-        return (Fel(self, i) for i in range(self.order))
-
-    def text(self, raw) -> list:
-        return self._coeffs(raw)
-
-    def parse(self, obj) -> int:
-        if isinstance(obj, list):
-            if len(obj) != self.k or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in obj
-            ):
-                raise FieldError(f"bad element encoding {obj!r} for {self}")
-            return self.coerce(obj)
-        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-            return self.coerce(obj)
-        raise FieldError(f"bad element encoding {obj!r} for {self}")
-
-    def sort_key(self, raw):
-        return raw
-
     def descriptor(self):
         return {"kind": "GF", "p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
@@ -704,7 +658,10 @@ def field_make(desc) -> FieldCtx:
 
     For k >= 2 the modulus may be omitted; the first monic irreducible of the
     right degree (in base-p scan order) is used, which keeps extension choices
-    deterministic across runs.
+    deterministic across runs. This is the one place a descriptor is checked:
+    p is proved prime once, when GF(p) is interned, and a caller's modulus
+    gets Rabin's test once, before its field is interned; a default modulus
+    was proved irreducible by the scan that found it.
     """
     if isinstance(desc, FieldCtx):
         return desc
@@ -731,15 +688,21 @@ def field_make(desc) -> FieldCtx:
             if key not in _FIELDS:
                 _FIELDS[key] = PrimeField(p)
             return _FIELDS[key]
+        base = GF(p)
         modulus = desc.get("modulus")
         if modulus is None:
-            if not _is_prime(p):
-                raise NonPrimeModulus(f"{p} is not prime")
-            modulus = _first_irreducible(p, k)
-        m = tuple(int(c) % p for c in modulus)
+            m = _first_irreducible(p, k)
+        else:
+            m = tuple(int(c) % p for c in modulus)
         key = ("GF", p, k, m)
         if key not in _FIELDS:
-            _FIELDS[key] = ExtensionField(p, k, m)
+            if len(m) != k + 1 or m[-1] != 1:
+                raise DegreeMismatch(
+                    f"modulus must be monic of degree {k}, got {list(modulus)}"
+                )
+            if modulus is not None and not _pf_is_irreducible(m, base):
+                raise ReducibleModulus(f"{list(m)} is reducible over {base}")
+            _FIELDS[key] = ExtensionField(base, m)
         return _FIELDS[key]
     raise FieldError(f"unknown field kind {kind!r}")
 
@@ -757,6 +720,16 @@ QQ = field_make({"kind": "Q"})
 # ---------------------------------------------------------------------------
 # polynomials over a field
 # ---------------------------------------------------------------------------
+
+def _horner(f: FieldCtx, coeffs, x):
+    """Raw value at the raw x of the polynomial with raw coefficients
+    `coeffs` (low degree first) over the field f."""
+    add, mul = f.add, f.mul
+    acc = f.zero
+    for c in reversed(coeffs):
+        acc = add(mul(acc, x), c)
+    return acc
+
 
 class Poly:
     """Polynomial over one field, coefficients low degree first, trimmed so the
@@ -780,10 +753,7 @@ class Poly:
         xr = x.raw if isinstance(x, Fel) else f.coerce(x)
         if isinstance(x, Fel) and x.field is not f:
             raise MixedFields("evaluating at an element of a different field")
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, xr), c)
-        return Fel(f, acc)
+        return Fel(f, _horner(f, self.coeffs, xr))
 
     def __eq__(self, other):
         return (
@@ -820,11 +790,6 @@ class Embedding:
     def raw(self, a):
         t = self.table
         return a if t is None else t[a]
-
-    def __call__(self, x: Fel) -> Fel:
-        if x.field is not self.src:
-            raise MixedFields(f"embedding expects {self.src} elements")
-        return Fel(self.dst, self.raw(x.raw))
 
     def image_raw_map(self) -> dict:
         """dst raw -> src raw for the image of the embedding (finite src only)."""
@@ -902,14 +867,9 @@ def _first_root_raw(f: FieldCtx, coeffs):
     larger ones take the least of all roots from `_roots_raw`."""
     if f.order > _TABLE_MAX:
         return min(_roots_raw(f, coeffs), default=None)
-    add, mul, z = f.add, f.mul, f.zero
-    rev = tuple(reversed(coeffs))
-    for cand in range(f.order):
-        acc = z
-        for c in rev:
-            acc = add(mul(acc, cand), c)
-        if acc == z:
-            return cand
+    for x in range(f.order):
+        if _horner(f, coeffs, x) == f.zero:
+            return x
     return None
 
 
@@ -928,20 +888,12 @@ def embed(src: FieldCtx, dst: FieldCtx) -> Embedding:
     if src.k == 1:
         emb = Embedding(src, dst)  # residues are the constant indices of dst
     else:
-        # send the generator of src to the first root of src's modulus in dst
+        # send the generator of src to the first root of src's modulus in dst;
+        # an element's coefficients are residues, which dst encodes as they are
         root = _first_root_raw(dst, src.modulus)
         if root is None:
             raise FieldError(f"modulus of {src} has no root in {dst}")
-        pows = [dst.one]
-        for _ in range(src.k - 1):
-            pows.append(dst.mul(pows[-1], root))
-        table = []
-        for a in range(src.order):
-            acc = dst.zero
-            for c, pw in zip(src._coeffs(a), pows):
-                if c:
-                    acc = dst.add(acc, dst.mul(c, pw))
-            table.append(acc)
+        table = [_horner(dst, src._coeffs(a), root) for a in range(src.order)]
         emb = Embedding(src, dst, table)
     _EMBEDDINGS[key] = emb
     return emb
@@ -1020,9 +972,8 @@ def _rational_root(coeffs: tuple[Fraction, ...]):
         for dd in _divisors(ints[-1]):
             cands.add(Fraction(dn, dd))
             cands.add(Fraction(-dn, dd))
-    poly = Poly(QQ, coeffs)
     for cand in sorted(cands, key=lambda r: (abs(r), r < 0)):
-        if poly.eval(cand).is_zero:
+        if _horner(QQ, coeffs, cand) == 0:
             return cand
     return None
 

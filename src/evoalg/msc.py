@@ -53,9 +53,6 @@ class Mat2:
     def entry(self, i: int, j: int) -> Fel:
         return Fel(self.field, self.e[i][j])
 
-    def entries(self):
-        return tuple(tuple(Fel(self.field, x) for x in row) for row in self.e)
-
     def det(self) -> Fel:
         f = self.field
         (a, b), (c, d) = self.e
@@ -120,16 +117,8 @@ class Msc:
         co = field.coerce
         return cls(field, tuple(tuple(co(x) for x in row) for row in rows))
 
-    @classmethod
-    def zero(cls, field: FieldCtx) -> "Msc":
-        z = field.zero
-        return cls(field, ((z, z, z, z), (z, z, z, z)))
-
     def entry(self, i: int, j: int) -> Fel:
         return Fel(self.field, self.rows[i][j])
-
-    def entries(self):
-        return tuple(tuple(Fel(self.field, x) for x in row) for row in self.rows)
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -173,29 +162,9 @@ class EvolutionMsc(Msc):
         return cls(field, (co(a), co(b), co(c), co(d)))
 
     @property
-    def a(self) -> Fel:
-        return Fel(self.field, self.rows[0][0])
-
-    @property
-    def b(self) -> Fel:
-        return Fel(self.field, self.rows[0][3])
-
-    @property
-    def c(self) -> Fel:
-        return Fel(self.field, self.rows[1][0])
-
-    @property
-    def d(self) -> Fel:
-        return Fel(self.field, self.rows[1][3])
-
-    @property
     def abcd(self):
         r0, r1 = self.rows
         return (r0[0], r0[3], r1[0], r1[3])
-
-    def m2(self) -> Mat2:
-        a, b, c, d = self.abcd
-        return Mat2(self.field, ((a, b), (c, d)))
 
 
 def is_evolution(A: Msc) -> bool:

@@ -14,8 +14,8 @@ The census's two q^6 loops run over plain-integer field tables: the orbit
 pass evaluates the closed forms of `msc.transform_evolution` and drops an
 image as soon as a middle entry is nonzero, and `brute_der` solves the
 derivation condition, which is linear in the matrix, as a table lookup per
-(x, y, z). Every stabilizer element is checked again through the generic
-product `msc._act_raw`, so the oracle does not rest on the closed forms alone.
+(x, y, z). Every stabilizer element is checked again through `aut_check`,
+the generic product, so the oracle does not rest on the closed forms alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .autgroup import aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, canonical_msc, classify
 from .derivations import _der_residual_raw, der_solve, der_closed_form
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed, field_make
-from .msc import BasisChange, EvolutionMsc, Mat2, Msc, _act_raw, _kron4_raw, transform
+from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform
 
 _GL_MAX_ORDER = 32  # enumeration scans q^4 matrices
 _CENSUS_MAX_ORDER = 16
@@ -78,9 +78,9 @@ def brute_iso(E: Msc, F: Msc, K: FieldCtx):
     if E.field is not F.field:
         raise MixedFields("both algebras must share a base field")
     emb = embed(E.field, K)
-    e_rows, f_rows = (tuple(tuple(map(emb.raw, row)) for row in A.rows) for A in (E, F))
+    ek, fk = (Msc(K, tuple(tuple(map(emb.raw, row)) for row in A.rows)) for A in (E, F))
     for change in gl2_enumerate(K):
-        if _act_raw(K, change.g.e, e_rows, _kron4_raw(K, change.ginv.e)) == f_rows:
+        if transform(ek, change) == fk:
             return change
     return None
 
@@ -353,10 +353,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
             inst = aut_instantiate(aut_closed_form(k, F), F)
             # the stabilizer against the closed forms, and again through the
             # generic product
-            rows = C.rows
-            if set(inst) != aut_of[k] or not all(
-                _act_raw(F, m.inverse().e, rows, _kron4_raw(F, m.e)) == rows for m in aut_of[k]
-            ):
+            if set(inst) != aut_of[k] or not all(aut_check(C, m) for m in aut_of[k]):
                 aut_ok = False
             if der_closed_form(k, F) != solved:
                 der_ok = False

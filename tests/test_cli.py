@@ -144,6 +144,15 @@ class TestPastTheDigitLimit:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["key"]["label"] == "E1"
 
+    def test_in_process_run_restores_the_limit(self, capsys):
+        a, d = "7" * 3000, "3" * 2999 + "1"
+        alg = json.dumps({"field": Q, "msc": [a, "1", "1", d]})
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert (code, err) == (0, "")
+        assert max(map(len, json.loads(out)["key"]["params"])) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestAut:
     def test_enumerate_over_gf7(self, capsys):

@@ -12,6 +12,7 @@ from evoalg import (
     ConstantPolynomial,
     DegreeMismatch,
     Fel,
+    FieldError,
     InfiniteField,
     MixedFields,
     NeedsExtension,
@@ -23,6 +24,7 @@ from evoalg import (
     field_make,
     find_root,
 )
+from evoalg import fields as fields_mod
 
 from conftest import F2, F3, F4, F5, F7, F9, SMALL_FINITE, fel_st
 
@@ -42,6 +44,12 @@ class TestConstruction:
     def test_nonprime_rejected(self, p):
         with pytest.raises(NonPrimeModulus):
             GF(p)
+
+    @pytest.mark.parametrize("p", [0, 4])
+    def test_nonprime_with_a_modulus_rejected(self, p):
+        # p is proved prime before the modulus is reduced mod p
+        with pytest.raises(NonPrimeModulus):
+            GF(p, 2, [1, 1, 1])
 
     def test_reducible_modulus_rejected(self):
         # x^2 + 1 = (x+1)^2 over GF(2)
@@ -65,6 +73,43 @@ class TestConstruction:
         # over GF(2): x^2, x^2+1, x^2+x all reducible, x^2+x+1 is first
         assert GF(2, 2).modulus == (1, 1, 1)
         assert GF(2, 2) is F4
+
+
+class TestRabinRunsOnce:
+    """field_make proves a modulus irreducible once: a default modulus by the
+    scan that finds it, a caller's modulus before its field is interned."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """The moduli Rabin's test is run on from now on, in call order."""
+        calls = []
+        test = fields_mod._pf_is_irreducible
+
+        def counted(m, f):
+            calls.append(m)
+            return test(m, f)
+
+        monkeypatch.setattr(fields_mod, "_pf_is_irreducible", counted)
+        return calls
+
+    @pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])
+    def test_default_modulus(self, monkeypatch, p, k):
+        calls = self._count(monkeypatch)
+        m = fields_mod._first_irreducible(p, k)
+        scan = len(calls)
+        calls.clear()
+        monkeypatch.delitem(fields_mod._FIELDS, ("GF", p, k, m), raising=False)
+        assert field_make({"kind": "GF", "p": p, "k": k}).modulus == m
+        assert len(calls) == scan
+
+    def test_given_modulus(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        m = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8 + x^4 + x^3 + x + 1
+        monkeypatch.delitem(fields_mod._FIELDS, ("GF", 2, 8, m), raising=False)
+        assert GF(2, 8, m).modulus == m
+        assert calls == [m]
+        GF(2, 8, m)  # interned: no second test
+        assert calls == [m]
 
 
 class TestArith:
@@ -290,6 +335,14 @@ class TestEncoding:
     def test_gf_parse_rejects_wrong_length(self, field):
         with pytest.raises(Exception):
             field.parse([1, 2, 3])
+
+    def test_coefficient_vectors_coerce_like_gf_p(self):
+        # 1/2 = 2 in GF(3); GF(4) has characteristic 2, where 1/2 has no image
+        assert F9.coerce([Fraction(1, 2), 0]) == 2
+        with pytest.raises(FieldError):
+            F4.coerce([Fraction(1, 2), 0])
+        with pytest.raises(FieldError):
+            F9.coerce([1.5, 0])
 
 
 @settings(max_examples=200)
