@@ -22,10 +22,16 @@ irreducible in base-p scan order. Primality is deterministic Miller-Rabin
 with the prime bases up to 41, exact below 3.317e24; a p at or above that
 bound that no base proves composite is refused with FieldError. `field_make`
 checks each descriptor once, before its field is interned.
+
+Root problems over finite fields and default moduli are solved once per
+process: `find_root` keeps a bounded cache keyed on (field, coefficients),
+never used over Q, and a default-modulus field is also interned without its
+modulus, so neither `find_root` nor `GF(p, k)` repeats its search.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -34,6 +40,7 @@ from fractions import Fraction
 from typing import Iterator
 
 _TABLE_MAX = 128  # largest field order that gets full add/mul lookup tables
+_ROOT_CACHE_MAX = 2048  # finite-field root problems `find_root` remembers
 
 
 class FieldError(ValueError):
@@ -613,6 +620,9 @@ class ExtensionField(_FiniteField):
         return t[a][b]
 
     def sub(self, a, b):
+        if self._add_t is None and self.order > _TABLE_MAX:
+            p = self.p
+            return self._index([(x - y) % p for x, y in zip(self._coeffs(a), self._coeffs(b))])
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
@@ -661,7 +671,8 @@ def field_make(desc) -> FieldCtx:
     deterministic across runs. This is the one place a descriptor is checked:
     p is proved prime once, when GF(p) is interned, and a caller's modulus
     gets Rabin's test once, before its field is interned; a default modulus
-    was proved irreducible by the scan that found it.
+    was proved irreducible by the scan that found it, which runs once per
+    (p, k): the field is interned under ("GF", p, k) as well.
     """
     if isinstance(desc, FieldCtx):
         return desc
@@ -691,6 +702,9 @@ def field_make(desc) -> FieldCtx:
         base = GF(p)
         modulus = desc.get("modulus")
         if modulus is None:
+            hit = _FIELDS.get(("GF", p, k))
+            if hit is not None:
+                return hit
             m = _first_irreducible(p, k)
         else:
             m = tuple(int(c) % p for c in modulus)
@@ -703,6 +717,8 @@ def field_make(desc) -> FieldCtx:
             if modulus is not None and not _pf_is_irreducible(m, base):
                 raise ReducibleModulus(f"{list(m)} is reducible over {base}")
             _FIELDS[key] = ExtensionField(base, m)
+        if modulus is None:
+            _FIELDS["GF", p, k] = _FIELDS[key]
         return _FIELDS[key]
     raise FieldError(f"unknown field kind {kind!r}")
 
@@ -994,17 +1010,27 @@ def find_root(field: FieldCtx, poly: Poly) -> tuple[FieldCtx, Fel, Embedding]:
     if deg > 3:
         raise FieldError("only degrees 1..3 are supported")
     if field.order is None:
+        # never cached: rational inputs reach heights of 10^400 and rarely repeat
         r = _rational_root(poly.coeffs)
         if r is None:
             raise NeedsExtension(poly)
         return field, Fel(field, r), Embedding(field, field)
-    root = _first_root_raw(field, poly.coeffs)
+    ext, root, emb = _finite_root(field, poly.coeffs)
+    return ext, Fel(ext, root), emb
+
+
+@functools.lru_cache(maxsize=_ROOT_CACHE_MAX)
+def _finite_root(field: FieldCtx, coeffs: tuple):
+    """`find_root` over a finite field, on raw coefficients: (field2, raw
+    root, embedding). Fields are interned and the answer is deterministic, so
+    each (field, coeffs) is solved once while it stays in the cache."""
+    root = _first_root_raw(field, coeffs)
     if root is not None:
-        return field, Fel(field, root), Embedding(field, field)
+        return field, root, Embedding(field, field)
     # no root: for degree 2 or 3 this means irreducible, so one extension of
     # the same degree splits off a root
-    ext, emb = extension_of(field, deg)
-    root = _first_root_raw(ext, [emb.raw(c) for c in poly.coeffs])
+    ext, emb = extension_of(field, len(coeffs) - 1)
+    root = _first_root_raw(ext, [emb.raw(c) for c in coeffs])
     if root is None:
-        raise FieldError(f"no root of {poly} in {ext}; is it irreducible?")
-    return ext, Fel(ext, root), emb
+        raise FieldError(f"no root of {list(map(field.text, coeffs))} in {ext}; is it irreducible?")
+    return ext, root, emb

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .autgroup import aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, canonical_msc, classify
@@ -283,6 +282,8 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
 
     # phase 1: classify + witness verification, partitionable over workers
     if jobs > 1:
+        from multiprocessing import get_context  # imported only where a census forks
+
         bounds = [(total * w // jobs, total * (w + 1) // jobs) for w in range(jobs)]
         with get_context("fork").Pool(jobs) as pool:
             chunks = pool.starmap(

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from evoalg import (
     ReducibleModulus,
     canonical_cmp,
     embed,
+    extension_of,
     field_make,
     find_root,
 )
@@ -98,7 +100,9 @@ class TestRabinRunsOnce:
         m = fields_mod._first_irreducible(p, k)
         scan = len(calls)
         calls.clear()
+        # start cold: GF(p, k) is interned with and without its default modulus
         monkeypatch.delitem(fields_mod._FIELDS, ("GF", p, k, m), raising=False)
+        monkeypatch.delitem(fields_mod._FIELDS, ("GF", p, k), raising=False)
         assert field_make({"kind": "GF", "p": p, "k": k}).modulus == m
         assert len(calls) == scan
 
@@ -112,9 +116,92 @@ class TestRabinRunsOnce:
         assert calls == [m]
 
 
+class TestSolvedOnce:
+    """A root problem over a finite field and a default modulus are each
+    solved once per process; over Q nothing is cached."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        """The argument tuples `fields.<name>` is called with from now on."""
+        calls = []
+        fn = getattr(fields_mod, name)
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(fields_mod, name, counted)
+        return calls
+
+    @staticmethod
+    def _nonsquare_poly(field):
+        """x^2 - c for the least non-square c of `field`: its root needs an
+        extension."""
+        squares = {field.mul(x, x) for x in range(field.order)}
+        c = next(x for x in range(field.order) if x not in squares)
+        return Poly(field, [Fel(field, field.neg(c)), Fel(field, 0), Fel(field, 1)])
+
+    @pytest.mark.parametrize("field", [GF(13, 2), F5])
+    def test_repeat_find_root_is_not_solved_again(self, monkeypatch, field):
+        fields_mod._finite_root.cache_clear()
+        calls = self._count(monkeypatch, "_first_root_raw")
+        poly = self._nonsquare_poly(field)
+        ext, root, emb = find_root(field, poly)
+        solved = len(calls)
+        assert solved >= 2  # the base field, its quadratic extension and any embedding
+        assert find_root(field, poly) == (ext, root, emb)
+        assert len(calls) == solved
+        mapped = Poly(ext, [Fel(ext, emb.raw(c)) for c in poly.coeffs])
+        assert ext.k == 2 * field.k and mapped.eval(root).is_zero
+
+    def test_repeat_default_modulus_is_not_scanned_again(self, monkeypatch):
+        K = GF(7, 3)
+        monkeypatch.delitem(fields_mod._FIELDS, ("GF", 7, 3))
+        calls = self._count(monkeypatch, "_first_irreducible")
+        assert GF(7, 3) is K  # one scan, which finds the interned field
+        assert calls == [(7, 3)]
+        assert GF(7, 3) is K
+        assert field_make({"kind": "GF", "p": 7, "k": 3}) is K
+        assert extension_of(F7, 3)[0] is K
+        assert calls == [(7, 3)]
+
+    def test_q_is_not_cached(self, monkeypatch):
+        calls = self._count(monkeypatch, "_rational_root")
+        before = fields_mod._finite_root.cache_info()
+        poly = Poly(QQ, [-4, 0, 1])
+        assert find_root(QQ, poly)[1].raw == 2
+        assert find_root(QQ, poly)[1].raw == 2
+        assert len(calls) == 2
+        after = fields_mod._finite_root.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_cache_stays_at_its_bound(self):
+        F13 = GF(13)
+        bound = fields_mod._finite_root.cache_info().maxsize
+        fields_mod._finite_root.cache_clear()
+        # distinct cubics c3 x^3 + c2 x^2 + c1 x + c0 with a root r in GF(13):
+        # cheap to solve, since none needs an extension
+        cubics = dict.fromkeys(
+            (-r * (c1 + r * (c2 + r * c3)) % 13, c1, c2, c3)
+            for r, c3, c2, c1 in itertools.product(range(13), range(1, 13), range(13), range(13))
+        )
+        assert len(cubics) > bound + 100
+        for coeffs in itertools.islice(cubics, bound + 100):
+            find_root(F13, Poly(F13, coeffs))
+        assert fields_mod._finite_root.cache_info().currsize == bound
+
+
 class TestArith:
     def test_q_add(self):
         assert str(QQ.el("1/2") + QQ.el("1/3")) == "5/6"
+
+    @pytest.mark.parametrize("p,k", [(13, 2), (2, 9), (5, 6)])
+    def test_sub_above_the_tables_is_add_of_neg(self, p, k):
+        K = GF(p, k)
+        rng = random.Random(p * 100 + k)
+        for _ in range(200):
+            a, b = rng.randrange(K.order), rng.randrange(K.order)
+            assert K.sub(a, b) == K.add(a, K.neg(b))
 
     def test_gf5_add(self):
         assert (F5.el(2) + F5.el(4)).raw == 1

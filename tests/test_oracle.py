@@ -23,7 +23,7 @@ from evoalg import (
     is_evolution,
     transform,
 )
-from evoalg import oracle
+from evoalg import fields, oracle
 from evoalg.derivations import der_check
 from evoalg.serialize import census_to_csv, census_to_json, dumps
 
@@ -243,6 +243,19 @@ class TestCensus:
         # the census JSON must not change with the census's implementation
         golden = Path(__file__).parent / "data" / f"census_gf{p**k}.json"
         assert dumps(census_to_json(census(GF(p, k)))) == golden.read_text()
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (2, 3), (3, 2)])
+    def test_jobs2_matches_golden_with_cold_and_warm_caches(self, monkeypatch, p, k):
+        # forked workers inherit the parent's root and default-modulus caches,
+        # so a census must not depend on what they hold
+        golden = (Path(__file__).parent / "data" / f"census_gf{p**k}.json").read_text()
+        fields._finite_root.cache_clear()
+        for key in [key for key in fields._FIELDS if key[0] == "GF" and len(key) == 3]:
+            monkeypatch.delitem(fields._FIELDS, key)
+        F = GF(p, k)
+        assert dumps(census_to_json(census(F, jobs=2))) == golden
+        assert dumps(census_to_json(census(F, jobs=1))) == golden
+        assert dumps(census_to_json(census(F, jobs=2))) == golden
 
     def test_shared_seed_orbit_clears_flags(self, monkeypatch):
         # every key seeded from one representative: the later seeds land in
