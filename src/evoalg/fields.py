@@ -17,11 +17,14 @@ Roots over a finite field are the least root in canonical order. A field with
 tables is scanned element by element; in a larger one, the roots come from
 gcd(f, y^q - y) and Cantor-Zassenhaus equal-degree splitting, all of them,
 and the least is taken, so both give the same root. Moduli are proved
-irreducible by Rabin's test, and the default modulus is still the first
-irreducible in base-p scan order. Primality is deterministic Miller-Rabin
-with the prime bases up to 41, exact below 3.317e24; a p at or above that
-bound that no base proves composite is refused with FieldError. `field_make`
-checks each descriptor once, before its field is interned.
+irreducible by Ben-Or's test, which stops at the first nontrivial gcd, over
+GF(2) on polynomials packed into ints, and the default modulus is still the
+first irreducible in base-p scan order. Primality is deterministic
+Miller-Rabin with the prime bases up to 41, exact below 3.317e24; a p at or
+above that bound that no base proves composite is refused with FieldError.
+`field_make` checks each descriptor once, before its field is interned: p, k
+and the modulus coefficients must be ints, and k * ceil(log2 p) must stay
+within `_SIZE_BUDGET`, so building any field accepted takes bounded work.
 
 Root problems over finite fields and default moduli are solved once per
 process: `find_root` keeps a bounded cache keyed on (field, coefficients),
@@ -41,6 +44,10 @@ from typing import Iterator
 
 _TABLE_MAX = 128  # largest field order that gets full add/mul lookup tables
 _ROOT_CACHE_MAX = 2048  # finite-field root problems `find_root` remembers
+# largest k * ceil(log2 p) of a GF(p^k) descriptor; for p = 2 and 3 the slowest
+# default modulus it admits, GF(3^116), takes about 2 s on 2 cores (the README
+# has the figures for other p)
+_SIZE_BUDGET = 256
 
 
 class FieldError(ValueError):
@@ -89,6 +96,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin. A base that witnesses compositeness proves
     it at any size; an n >= _MR_BOUND that no base witnesses is left
@@ -121,8 +132,8 @@ def _is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # polynomials over a finite field as trimmed tuples of raw coefficients, low
 # degree first; the field context `f` does the coefficient arithmetic. One
-# toolkit serves Rabin's test over GF(p), inversion in GF(p^k) and root
-# finding over any finite field.
+# toolkit serves Ben-Or's test over GF(p), p odd, inversion in GF(p^k) and
+# root finding over any finite field.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(cs) -> tuple:
@@ -219,31 +230,66 @@ def _poly_inverse(a, m, f) -> tuple:
     return tuple(f.mul(c, s) for c in t0)
 
 
+def _gf2_rem(a: int, b: int) -> int:
+    """a mod b != 0 in GF(2)[x], polynomials packed into ints (bit i is the
+    coefficient of x^i)."""
+    db = b.bit_length()
+    while (shift := a.bit_length() - db) >= 0:
+        a ^= b << shift
+    return a
+
+
+def _gf2_is_irreducible(m: int) -> bool:
+    """Ben-Or's test for the packed m = x^k + ... over GF(2) with a constant
+    term: squaring h spreads its bits apart."""
+    h = 0b10  # x
+    for _ in range((m.bit_length() - 1) // 2):
+        h = _gf2_rem(int("0".join(format(h, "b")), 2), m)
+        a, b = m, h ^ 0b10
+        while b:
+            a, b = b, _gf2_rem(a, b)
+        if a != 1:
+            return False
+    return True
+
+
 def _pf_is_irreducible(m, f) -> bool:
-    """Rabin's test for a monic m of degree k over the prime field f = GF(p):
-    m is irreducible iff x^(p^k) = x mod m and gcd(x^(p^(k/r)) - x, m) = 1
-    for every prime r | k. The powers x^(p^j) come one Frobenius step at a
-    time."""
+    """Ben-Or's test for a monic m of degree k over the prime field f = GF(p):
+    m is irreducible iff gcd(x^(p^i) - x, m) = 1 for i = 1 .. k/2, since a
+    reducible m has an irreducible factor of degree i <= k/2, and that factor
+    divides x^(p^i) - x. The powers come one Frobenius step at a time, and the
+    test stops at the first nontrivial gcd, which a random reducible m
+    reaches at a small i. Over GF(2) it runs on packed ints."""
     k = len(m) - 1
     if k < 1:
         return False
     if k > 1 and m[0] == 0:
         return False  # x divides m
-    x = _poly_rem((0, 1), m, f)
-    checks = {k // r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)}
-    h = x
-    for j in range(1, k + 1):
+    if f.p == 2:
+        return _gf2_is_irreducible(int("".join(map(str, reversed(m))), 2))
+    x = h = (0, 1)
+    for _ in range(k // 2):
         h = _poly_powmod(h, f.p, m, f)
-        if j in checks and len(_poly_gcd(m, _poly_sub(h, x, f), f)) > 1:
+        if len(_poly_gcd(m, _poly_sub(h, x, f), f)) > 1:
             return False
-    return h == x
+    return True
 
 
 def _first_irreducible(p: int, k: int) -> tuple:
     """First monic irreducible of degree k over GF(p), scanning constant parts
-    in base-p counting order. Deterministic across runs."""
+    in base-p counting order. Deterministic across runs.
+
+    The first p candidates are the binomials x^k + c0. Some c0 makes one
+    irreducible iff every prime factor of k divides p - 1, and 4 | p - 1 when
+    4 | k (Lidl and Niederreiter, Finite Fields, Theorem 3.75); otherwise the
+    scan starts past them, which spares up to p tests and changes no result.
+    """
     f = GF(p)
-    for idx in range(p**k):
+    rest = k
+    while (d := math.gcd(rest, p - 1)) > 1:
+        rest //= d
+    start = 0 if rest == 1 and (k % 4 or p % 4 == 1) else p
+    for idx in range(start, p**k):
         lows, i = [], idx
         for _ in range(k):
             i, r = divmod(i, p)
@@ -481,7 +527,7 @@ class _FiniteField(FieldCtx):
 
     def _residue(self, x) -> int:
         """The image in GF(p) of an integer, a rational or its string."""
-        if isinstance(x, int) and not isinstance(x, bool):
+        if _is_int(x):
             return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
@@ -510,9 +556,7 @@ class _FiniteField(FieldCtx):
 
     def parse(self, obj) -> int:
         if isinstance(obj, list):
-            if len(obj) != self.k or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in obj
-            ):
+            if len(obj) != self.k or not all(map(_is_int, obj)):
                 raise FieldError(f"bad element encoding {obj!r} for {self}")
             return self.coerce(obj)
         if isinstance(obj, (int, str)) and not isinstance(obj, bool):
@@ -669,10 +713,12 @@ def field_make(desc) -> FieldCtx:
     For k >= 2 the modulus may be omitted; the first monic irreducible of the
     right degree (in base-p scan order) is used, which keeps extension choices
     deterministic across runs. This is the one place a descriptor is checked:
-    p is proved prime once, when GF(p) is interned, and a caller's modulus
-    gets Rabin's test once, before its field is interned; a default modulus
-    was proved irreducible by the scan that found it, which runs once per
-    (p, k): the field is interned under ("GF", p, k) as well.
+    p, k and the modulus coefficients must be ints (not bools), and
+    k * ceil(log2 p) at most `_SIZE_BUDGET`; p is proved prime once, when
+    GF(p) is interned, and a caller's modulus gets Ben-Or's test once, before
+    its field is interned; a default modulus was proved irreducible by the
+    scan that found it, which runs once per (p, k): the field is interned
+    under ("GF", p, k) as well.
     """
     if isinstance(desc, FieldCtx):
         return desc
@@ -685,13 +731,21 @@ def field_make(desc) -> FieldCtx:
             _FIELDS[key] = Rationals()
         return _FIELDS[key]
     if kind == "GF":
-        try:
-            p = int(desc["p"])
-        except (KeyError, TypeError, ValueError):
-            raise FieldError(f"bad field descriptor {desc!r}") from None
-        k = int(desc.get("k", 1))
+        p, k, modulus = desc.get("p"), desc.get("k", 1), desc.get("modulus")
+        if not (_is_int(p) and _is_int(k)) or not (
+            modulus is None or isinstance(modulus, (list, tuple)) and all(map(_is_int, modulus))
+        ):
+            raise FieldError(
+                f"bad field descriptor {desc!r}: p, k and the modulus coefficients are integers"
+            )
         if k < 1:
             raise DegreeMismatch("k must be >= 1")
+        size = k * (p - 1).bit_length()  # k * ceil(log2 p) for p >= 2
+        if size > _SIZE_BUDGET:
+            raise FieldError(
+                f"GF(p^{k}) with p of {p.bit_length()} bits is too large: "
+                f"k * ceil(log2 p) = {size} is past the budget of {_SIZE_BUDGET}"
+            )
         if k == 1:
             if "modulus" in desc:
                 raise DegreeMismatch("GF(p) takes no modulus")
@@ -700,14 +754,13 @@ def field_make(desc) -> FieldCtx:
                 _FIELDS[key] = PrimeField(p)
             return _FIELDS[key]
         base = GF(p)
-        modulus = desc.get("modulus")
         if modulus is None:
             hit = _FIELDS.get(("GF", p, k))
             if hit is not None:
                 return hit
             m = _first_irreducible(p, k)
         else:
-            m = tuple(int(c) % p for c in modulus)
+            m = tuple(c % p for c in modulus)
         key = ("GF", p, k, m)
         if key not in _FIELDS:
             if len(m) != k + 1 or m[-1] != 1:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoalg.cli import run
 
@@ -108,6 +114,116 @@ class TestClassify:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("evoalg: cannot decide")
+
+
+# JSON values that are not integers, for descriptor slots that need one
+_NOT_INT = st.one_of(
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 4), max_size=2),
+)
+# JSON values that encode no element of GF(5) or Q
+_NOT_ELEMENT = st.one_of(
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6).filter(lambda t: not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", t)),
+    st.lists(st.integers(0, 4), min_size=2, max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 4), min_size=1, max_size=2),
+)
+
+
+@st.composite
+def _bad_field(draw):
+    p, k = draw(st.sampled_from([(2, 2), (3, 2), (5, 3), (7, 1)]))
+    return draw(
+        st.one_of(
+            st.builds(lambda v: {"kind": "GF", "p": v, "k": k}, _NOT_INT),
+            st.builds(lambda v: {"kind": "GF", "p": p, "k": v}, _NOT_INT),
+            st.builds(  # a modulus that is not a list
+                lambda v: {"kind": "GF", "p": p, "k": k, "modulus": v},
+                _NOT_INT.filter(lambda v: v is not None and not isinstance(v, list)) | st.integers(),
+            ),
+            st.builds(  # a modulus entry that is not an integer
+                lambda m, i, v: {"kind": "GF", "p": p, "k": k, "modulus": m[:i] + [v] + m[i + 1:]},
+                st.just([1] * (k + 1)),
+                st.integers(0, k),
+                _NOT_INT,
+            ),
+            st.builds(  # a modulus of the wrong length
+                lambda m: {"kind": "GF", "p": p, "k": k, "modulus": m},
+                st.lists(st.integers(-3, 9), max_size=8).filter(lambda m: len(m) != k + 1),
+            ),
+            st.builds(  # past the size budget
+                lambda big: {"kind": "GF", "p": p, "k": big},
+                st.integers(257, 10**30),
+            ),
+            st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2), st.none()),
+            st.sampled_from([{}, {"kind": "R"}, {"kind": "GF", "p": 9, "k": 1}]),
+        )
+    )
+
+
+@st.composite
+def _malformed_doc(draw):
+    good_msc = ["1", "2", "3", "4"]
+    if draw(st.booleans()):
+        return {"field": draw(_bad_field()), "msc": good_msc}
+    field = draw(st.sampled_from([Q, GF5]))
+    msc = draw(
+        st.one_of(
+            _NOT_INT.filter(lambda v: not isinstance(v, list)),
+            st.lists(st.just("1"), max_size=6).filter(lambda m: len(m) != 4),
+            st.builds(
+                lambda i, v: good_msc[:i] + [v] + good_msc[i + 1:], st.integers(0, 3), _NOT_ELEMENT
+            ),
+        )
+    )
+    return {"field": field, "msc": msc}
+
+
+class TestMalformedDocuments:
+    """Any malformed algebra document ends with exit 1, nothing on stdout and
+    exactly one diagnostic line on stderr."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_malformed_doc(), cmd=st.sampled_from(["classify", "aut", "der"]))
+    def test_one_line_refusal(self, doc, cmd):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([cmd, "-a", json.dumps(doc)])
+        assert (code, out.getvalue()) == (1, ""), doc
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evoalg:"), (doc, lines)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"kind": "GF", "p": 5.9},
+            {"kind": "GF", "p": 5, "k": 2.7},
+            {"kind": "GF", "p": 2, "k": 2, "modulus": [1.9, 1, 1]},
+            {"kind": "GF", "p": True},
+        ],
+    )
+    def test_non_integer_descriptor(self, capsys, field):
+        alg = json.dumps({"field": field, "msc": [1, 2, 3, 4]})
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"evoalg: bad field descriptor {field!r}: p, k and the modulus coefficients are integers"]
+
+    def test_gf_2_800_refused_within_5_s(self, capsys):
+        alg = json.dumps({"field": {"kind": "GF", "p": 2, "k": 800}, "msc": [1, 0, 0, 1]})
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "evoalg: GF(p^800) with p of 2 bits is too large: "
+            "k * ceil(log2 p) = 800 is past the budget of 256"
+        ]
 
 
 def _evoalg(*argv):

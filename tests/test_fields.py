@@ -1,6 +1,8 @@
 import itertools
+import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,28 @@ class TestConstruction:
             GF(2, 2, [1, 1, 1, 1])
         with pytest.raises(DegreeMismatch):
             GF(2, 2, [1, 1, 0])  # not monic after reduction
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"kind": "GF", "p": 5.9},
+            {"kind": "GF", "p": 5.0},
+            {"kind": "GF", "p": True},
+            {"kind": "GF", "p": "5"},
+            {"kind": "GF"},
+            {"kind": "GF", "p": 2, "k": 2.7},
+            {"kind": "GF", "p": 2, "k": True},
+            {"kind": "GF", "p": 2, "k": "abc"},
+            {"kind": "GF", "p": 2, "k": 2, "modulus": [1.9, 1, 1]},
+            {"kind": "GF", "p": 2, "k": 2, "modulus": [True, 1, 1]},
+            {"kind": "GF", "p": 2, "k": 2, "modulus": "111"},
+            {"kind": "GF", "p": 2, "k": 2, "modulus": 7},
+        ],
+    )
+    def test_non_integers_refused(self, desc):
+        # p, k and the modulus coefficients are never truncated or parsed
+        with pytest.raises(FieldError, match="are integers"):
+            field_make(desc)
 
     def test_interning_and_pickle(self):
         f1 = GF(3, 2)
@@ -189,6 +213,62 @@ class TestSolvedOnce:
         for coeffs in itertools.islice(cubics, bound + 100):
             find_root(F13, Poly(F13, coeffs))
         assert fields_mod._finite_root.cache_info().currsize == bound
+
+
+def _short(n):
+    return f"{n:.3g}" if n > 10**6 else str(n)
+
+
+class TestSizeBudget:
+    """A GF(p^k) descriptor with k * ceil(log2 p) past the budget is refused
+    before any work; within it the default modulus is found in bounded time."""
+
+    @staticmethod
+    def _cold(monkeypatch, p, k):
+        for key in [key for key in fields_mod._FIELDS if key[:3] == ("GF", p, k)]:
+            monkeypatch.delitem(fields_mod._FIELDS, key)
+
+    def test_gf_2_200_builds_in_half_a_second(self, monkeypatch):
+        self._cold(monkeypatch, 2, 200)
+        start = time.perf_counter()
+        F = field_make({"kind": "GF", "p": 2, "k": 200})
+        assert time.perf_counter() - start < 0.5
+        assert F.order == 2**200 and len(F.modulus) == 201
+
+    @pytest.mark.parametrize("p,k", [(2, 256), (1000000000000000000000007, 3)], ids=_short)
+    def test_at_the_budget_accepted(self, p, k):
+        assert k * math.ceil(math.log2(p)) <= fields_mod._SIZE_BUDGET == 256
+        assert GF(p, k).order == p**k
+
+    @pytest.mark.parametrize("p,k", [(1000000000000000000000007, 3), (1000003, 4)], ids=_short)
+    def test_scan_skips_binomials_that_cannot_be_irreducible(self, monkeypatch, p, k):
+        # p = 2 mod 3 makes every c0 a cube, and p = 3 mod 4 rules out x^4 + c0:
+        # each of the p binomials x^k + c0 is reducible, so none is tested
+        assert p % 3 == 2 if k == 3 else p % 4 == 3
+        self._cold(monkeypatch, p, k)
+        tested = []
+        test = fields_mod._pf_is_irreducible
+
+        def counted(m, f):
+            tested.append(m)
+            assert any(m[1:-1]) and len(tested) < 50, m  # stops a scan of the binomials
+            return test(m, f)
+
+        monkeypatch.setattr(fields_mod, "_pf_is_irreducible", counted)
+        m = GF(p, k).modulus
+        assert m[1:] == (1,) + (0,) * (k - 2) + (1,) and tested[-1] == m
+
+    @pytest.mark.parametrize(
+        "p,k",
+        [(2, 257), (2, 800), (3, 129), (5, 86), (1000000000000000000000007, 4), (2**300 + 1, 1)],
+        ids=_short,
+    )
+    def test_past_the_budget_refused(self, p, k):
+        assert k * math.ceil(math.log2(p)) > fields_mod._SIZE_BUDGET
+        with pytest.raises(FieldError, match="past the budget of 256"):
+            field_make({"kind": "GF", "p": p, "k": k})
+        with pytest.raises(FieldError, match="past the budget"):
+            GF(p, k, [1] * (k + 1))  # a caller's modulus too
 
 
 class TestArith:

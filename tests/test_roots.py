@@ -5,7 +5,7 @@ The references below are kept here on purpose: a scan over every field
 element in canonical order, trial division by every monic polynomial of
 degree <= k/2, and trial division of integers. Above the table size the
 library finds roots by Cantor-Zassenhaus, proves moduli irreducible by
-Rabin's test and tests primality by Miller-Rabin; every output must stay the
+Ben-Or's test and tests primality by Miller-Rabin; every output must stay the
 one the exhaustive search gives.
 """
 
@@ -228,6 +228,19 @@ class TestModuliAgainstTrialDivision:
         assert F.modulus == ref_first_irreducible(p, k)
 
 
+class TestIrreducibilityExhaustive:
+    """Ben-Or's test against trial division on every monic polynomial of
+    small degree, zero constant terms included: GF(2) runs the packed-int
+    path, GF(3) the generic one."""
+
+    @pytest.mark.parametrize("p,top", [(2, 10), (3, 6)])
+    def test_every_monic(self, p, top):
+        f = GF(p)
+        for d in range(1, top + 1):
+            for m in _monics(p, d):
+                assert fields_mod._pf_is_irreducible(m, f) == ref_is_irreducible(m, p), m
+
+
 def _irreducibles(p, d):
     """Monic irreducibles of degree d over GF(p) with a nonzero constant term."""
     return [m for m in _monics(p, d) if m[0] and ref_is_irreducible(m, p)]
@@ -246,7 +259,7 @@ class TestReducibleModuliRefused:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_products_whose_factor_degrees_divide_k(self, p):
         # these satisfy x^(p^k) = x mod m, so a test of that alone passes
-        # them; Rabin's gcd conditions refuse them
+        # them; the gcd conditions of the irreducibility test refuse them
         cases = _products(p)
         assert len(cases) == (2 if p == 2 else 4)
         for m, k in cases:
