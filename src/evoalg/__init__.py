@@ -58,6 +58,7 @@ from .autgroup import (
     aut_check,
     aut_closed_form,
     aut_instantiate,
+    aut_order,
 )
 from .derivations import (
     DerBasis,

@@ -232,6 +232,18 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
     return AutDescription(key, f, element_field, regime, elements, families, missing)
 
 
+def aut_order(desc: AutDescription) -> int | None:
+    """Number of automorphisms with entries in the base field, without listing
+    them: over GF(q), the finite elements whose entries satisfy y^q = y, plus
+    (q - excluded values) * q^(param_count - 1) per family; over Q, None when
+    a family is present."""
+    q, K = desc.base_field.order, desc.element_field
+    if q is None:
+        return None if desc.families else len(desc.finite_elements)
+    inside = sum(all(K.pow_raw(y, q) == y for r in m.e for y in r) for m in desc.finite_elements)
+    return inside + sum((q - len(f.excluded)) * q ** (f.param_count - 1) for f in desc.families)
+
+
 def aut_instantiate(desc: AutDescription, field: FieldCtx) -> list:
     """All automorphisms of the description with entries in the given finite
     field: the finite elements that lie in it plus every admissible family

@@ -297,24 +297,12 @@ def classify(E: EvolutionMsc) -> ClassificationResult:
     return ClassificationResult(key, BasisChange(ginv), f, None, ("2.1.1",), lam)
 
 
-def _common_field(f1: FieldCtx, f2: FieldCtx):
-    """Smallest field containing both witness fields, with the embeddings."""
+def _common_field(f1: FieldCtx, f2: FieldCtx) -> FieldCtx:
+    """Smallest field containing both witness fields."""
     if f1 is f2:
-        e = embed(f1, f1)
-        return f1, e, e
+        return f1
     k = math.lcm(f1.k, f2.k)
-    common = f1 if f1.k == k else (f2 if f2.k == k else GF(f1.char, k))
-    return common, embed(f1, common), embed(f2, common)
-
-
-def _embed_msc(E: EvolutionMsc, emb) -> EvolutionMsc:
-    return EvolutionMsc(emb.dst, tuple(emb.raw(x) for x in E.abcd))
-
-
-def _embed_change(w: BasisChange, emb) -> BasisChange:
-    (p, q), (r, s) = w.ginv.e
-    m = Mat2(emb.dst, ((emb.raw(p), emb.raw(q)), (emb.raw(r), emb.raw(s))))
-    return BasisChange(m)
+    return f1 if f1.k == k else (f2 if f2.k == k else GF(f1.char, k))
 
 
 def iso_test(E: EvolutionMsc, F: EvolutionMsc) -> BasisChange | None:
@@ -332,17 +320,11 @@ def iso_test(E: EvolutionMsc, F: EvolutionMsc) -> BasisChange | None:
     for r in (re, rf):
         if r.needs_extension is not None:
             raise NeedsExtension(r.needs_extension)
-    common, emb_e, emb_f = _common_field(re.witness_field, rf.witness_field)
-    we = _embed_change(re.witness, emb_e)
-    wf = _embed_change(rf.witness, emb_f)
-    composite = we.then(wf.inverse())
-    if common is not E.field:
-        base_to_common = embed(E.field, common)
-        ek = _embed_msc(E, base_to_common)
-        fk = _embed_msc(F, base_to_common)
-    else:
-        ek, fk = E, F
-    assert transform(ek, composite) == fk, "witness composition failed"
+    common = _common_field(re.witness_field, rf.witness_field)
+    up = lambda A: A.over(embed(A.field, common))
+    # E's witness, then the inverse of F's, over the common field
+    composite = BasisChange(up(re.witness.ginv).mul(up(rf.witness.g)))
+    assert transform(up(E), composite) == up(F), "witness composition failed"
     return composite
 
 

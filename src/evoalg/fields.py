@@ -11,7 +11,9 @@ There is no floating point anywhere.
 Extension fields are always single quotients GF(p)[x]/(m) with a monic
 irreducible modulus; towers are flattened into one extension of the prime
 field. Small fields (order <= 128) switch to full lookup tables on first
-use, which matters for the brute-force oracle's inner loops.
+use, which matters for the brute-force oracle's inner loops. An embedding
+keeps one root, the image of the source's generator, and carries a value by
+evaluating its coefficients there: no work proportional to the source order.
 
 Roots over a finite field are the least root in canonical order. A field with
 tables is scanned element by element; in a larger one, the roots come from
@@ -846,19 +848,20 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 class Embedding:
-    """Field homomorphism src -> dst. `table` is None when the raw encodings
-    coincide (identity, or prime subfield into an extension)."""
+    """Field homomorphism src -> dst. `root` is the raw image of the generator
+    of src, at which `raw` evaluates an element's coefficients, or None when
+    the raw encodings coincide (identity, or prime subfield into an extension)."""
 
-    __slots__ = ("src", "dst", "table")
+    __slots__ = ("src", "dst", "root")
 
-    def __init__(self, src: FieldCtx, dst: FieldCtx, table=None):
+    def __init__(self, src: FieldCtx, dst: FieldCtx, root=None):
         self.src = src
         self.dst = dst
-        self.table = table
+        self.root = root
 
     def raw(self, a):
-        t = self.table
-        return a if t is None else t[a]
+        r = self.root
+        return a if r is None else _horner(self.dst, self.src._coeffs(a), r)
 
     def image_raw_map(self) -> dict:
         """dst raw -> src raw for the image of the embedding (finite src only)."""
@@ -868,9 +871,6 @@ class Embedding:
 
     def __repr__(self):
         return f"Embedding({self.src} -> {self.dst})"
-
-
-_EMBEDDINGS: dict[tuple, Embedding] = {}
 
 
 # fixed seed of the shifts that split a product of linear factors; the roots
@@ -942,30 +942,24 @@ def _first_root_raw(f: FieldCtx, coeffs):
     return None
 
 
+@functools.cache
 def embed(src: FieldCtx, dst: FieldCtx) -> Embedding:
-    """The canonical embedding src -> dst (first-root convention)."""
+    """The canonical embedding src -> dst (first-root convention), found once
+    per pair of fields."""
     if src is dst:
         return Embedding(src, dst)
-    key = (src._key, dst._key)
-    hit = _EMBEDDINGS.get(key)
-    if hit is not None:
-        return hit
     if src.kind != "GF" or dst.kind != "GF" or src.char != dst.char:
         raise FieldError(f"no embedding {src} -> {dst}")
     if dst.k % src.k:
         raise FieldError(f"{src} does not embed in {dst}: {src.k} does not divide {dst.k}")
-    if src.k == 1:
-        emb = Embedding(src, dst)  # residues are the constant indices of dst
-    else:
+    root = None  # for src.k == 1: residues are the constant indices of dst
+    if src.k > 1:
         # send the generator of src to the first root of src's modulus in dst;
         # an element's coefficients are residues, which dst encodes as they are
         root = _first_root_raw(dst, src.modulus)
         if root is None:
             raise FieldError(f"modulus of {src} has no root in {dst}")
-        table = [_horner(dst, src._coeffs(a), root) for a in range(src.order)]
-        emb = Embedding(src, dst, table)
-    _EMBEDDINGS[key] = emb
-    return emb
+    return Embedding(src, dst, root)
 
 
 def extension_of(field: FieldCtx, degree: int) -> tuple[FieldCtx, Embedding]:

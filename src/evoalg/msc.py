@@ -50,6 +50,14 @@ class Mat2:
     def swap(cls, field: FieldCtx) -> "Mat2":
         return cls(field, ((field.zero, field.one), (field.one, field.zero)))
 
+    def over(self, emb) -> "Mat2":
+        """This matrix over emb.dst, carried entry by entry along emb."""
+        if emb.src is not self.field:
+            raise MixedFields(f"embedding of {emb.src} applied over {self.field}")
+        if emb.dst is self.field:
+            return self
+        return Mat2(emb.dst, tuple(tuple(map(emb.raw, row)) for row in self.e))
+
     def entry(self, i: int, j: int) -> Fel:
         return Fel(self.field, self.e[i][j])
 
@@ -116,6 +124,14 @@ class Msc:
     def of(cls, field: FieldCtx, rows) -> "Msc":
         co = field.coerce
         return cls(field, tuple(tuple(co(x) for x in row) for row in rows))
+
+    def over(self, emb) -> "Msc":
+        """These structure constants over emb.dst, carried entry by entry along emb."""
+        if emb.src is not self.field:
+            raise MixedFields(f"embedding of {emb.src} applied over {self.field}")
+        if emb.dst is self.field:
+            return self
+        return Msc(emb.dst, tuple(tuple(map(emb.raw, row)) for row in self.rows))
 
     def entry(self, i: int, j: int) -> Fel:
         return Fel(self.field, self.rows[i][j])

@@ -77,7 +77,7 @@ def brute_iso(E: Msc, F: Msc, K: FieldCtx):
     if E.field is not F.field:
         raise MixedFields("both algebras must share a base field")
     emb = embed(E.field, K)
-    ek, fk = (Msc(K, tuple(tuple(map(emb.raw, row)) for row in A.rows)) for A in (E, F))
+    ek, fk = E.over(emb), F.over(emb)
     for change in gl2_enumerate(K):
         if transform(ek, change) == fk:
             return change
@@ -172,14 +172,9 @@ def _verify_witness(E: EvolutionMsc, res, max_ext: int):
     ext_deg = K.k // F.k
     if ext_deg > max_ext:
         return False, ext_deg
-    if K is F:
-        return transform(E, res.witness) == canonical_msc(res.key), ext_deg
+    # the canonical representative over F, carried to K, is the one over K
     emb = embed(F, K)
-    ek = EvolutionMsc(K, tuple(emb.raw(v) for v in E.abcd))
-    key_k = CanonicalKey(
-        K, res.key.label, tuple(Fel(K, emb.raw(p.raw)) for p in res.key.params)
-    )
-    return transform(ek, res.witness) == canonical_msc(key_k), ext_deg
+    return transform(E.over(emb), res.witness) == canonical_msc(res.key).over(emb), ext_deg
 
 
 def _phase1_chunk(desc: dict, lo: int, hi: int, max_ext: int):

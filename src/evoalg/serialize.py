@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .autgroup import AutDescription, aut_instantiate
+from .autgroup import AutDescription, aut_order
 from .classify import CanonicalKey, ClassificationResult
 from .derivations import DerBasis
 from .fields import Fel, FieldCtx, FieldError, Poly, field_make
@@ -137,16 +137,10 @@ def aut_to_json(desc: AutDescription, elements=None) -> dict:
             {"entries": fam.entries_text(), "excluded": fam.excluded_text()}
             for fam in desc.families
         ],
-        "order_over_field": None,
+        "order_over_field": aut_order(desc),
     }
     if desc.element_field is not desc.base_field:
         out["element_field"] = desc.element_field.descriptor()
-    if desc.base_field.order is not None:
-        out["order_over_field"] = len(
-            elements if elements is not None else aut_instantiate(desc, desc.base_field)
-        )
-    elif not desc.families:
-        out["order_over_field"] = len(desc.finite_elements)
     if elements is not None:
         out["elements"] = [matrix_to_json(m) for m in elements]
     return out

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from evoalg import GF, BasisChange, EvolutionMsc, Fel, Mat2, Msc
+from evoalg import GF, QQ, BasisChange, EvolutionMsc, Fel, Mat2, Msc
 
 F2 = GF(2)
 F3 = GF(3)
@@ -22,6 +22,31 @@ def fel_st(field, nonzero=False):
         return s.map(lambda x: Fel(field, Fraction(x)))
     lo = 1 if nonzero else 0
     return st.integers(lo, field.order - 1).map(lambda i: Fel(field, i))
+
+
+def big_fraction_st(nonzero=False):
+    """Rationals whose numerators and denominators reach 10^400, the heights
+    the schema accepts."""
+    num = st.integers(-(10**400), 10**400)
+    if nonzero:
+        num = num.filter(bool)
+    return st.builds(Fraction, num, st.integers(1, 10**400))
+
+
+def big_q_evolution_st():
+    """Evolution algebras over Q with entries up to 10^400, mixing arbitrary
+    entries with the shapes whose witness needs a root: 1.4 (a cube root),
+    2.2.1 and 2.1.1 (square roots), each also built so the root is rational."""
+    big, nz = big_fraction_st(), big_fraction_st(nonzero=True)
+    shapes = st.one_of(
+        st.tuples(big, big, big, big),
+        st.builds(lambda b, c: (0, b, c, 0), nz, nz),
+        st.builds(lambda c, r: (0, 1 / (c * c * r**3), c, 0), nz, nz),
+        st.builds(lambda a, b: (a, b, 0, 0), nz, nz),
+        st.builds(lambda a, r: (a, 1 / (a * r * r), 0, 0), nz, nz),
+        st.builds(lambda a, b, lam: (a, b, lam * a, lam * b), nz, nz, nz),
+    )
+    return shapes.map(lambda t: EvolutionMsc(QQ, tuple(map(Fraction, t))))
 
 
 def evolution_st(field):

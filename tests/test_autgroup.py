@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,12 @@ from evoalg import (
     aut_check,
     aut_closed_form,
     aut_instantiate,
+    aut_order,
     canonical_msc,
 )
 from evoalg.fields import InfiniteField
 from evoalg.oracle import brute_aut
+from evoalg.serialize import el_from_json, field_from_json
 
 from conftest import F3, F4, F5, F7, F9
 
@@ -216,3 +220,34 @@ class TestGroupStructure:
         else:
             want_e3 = 2
         assert order_of(CanonicalKey(field, "E3")) == want_e3
+
+
+GOLDEN = sorted((Path(__file__).parent / "data").glob("census_gf*.json"))
+
+
+class TestOrderFromTheDescription:
+    @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+    def test_golden_census_aut_orders(self, path):
+        # the count against the census's stabilizers and the enumeration,
+        # for every key of every golden census (q <= 16)
+        doc = json.loads(path.read_text())
+        F = field_from_json(doc["field"])
+        for rec in doc["records"]:
+            k = rec["key"]
+            if k["label"] == "E0":
+                continue
+            key = CanonicalKey(F, k["label"], [el_from_json(F, p) for p in k["params"]])
+            desc = aut_closed_form(key, F)
+            assert aut_order(desc) == rec["brute_aut_order"] == len(aut_instantiate(desc, F))
+
+    def test_element_field_outside_the_base_field(self):
+        # over GF(5) the cube roots of unity lie in GF(25): only the identity
+        # and the swap have entries in GF(5)
+        desc = aut_closed_form(CanonicalKey(F5, "E3"), F5)
+        assert desc.element_field is not F5
+        assert len(desc.finite_elements) == 6 and aut_order(desc) == 2
+
+    def test_over_q(self):
+        assert aut_order(aut_closed_form(CanonicalKey(QQ, "E3"), QQ)) == 2
+        assert aut_order(aut_closed_form(CanonicalKey(QQ, "E4"), QQ)) == 2
+        assert aut_order(aut_closed_form(CanonicalKey(QQ, "E6"), QQ)) is None

@@ -226,6 +226,58 @@ class TestMalformedDocuments:
         ]
 
 
+GF307_2 = {"kind": "GF", "p": 307, "k": 2}
+
+
+class TestWitnessesInExtensions:
+    """The output for witnesses that leave GF(307^2), recorded before
+    embeddings were evaluated one value at a time."""
+
+    @pytest.mark.parametrize(
+        "msc,expected",
+        [
+            (
+                [[0, 0], [5, 0], [1, 0], [0, 0]],
+                {
+                    "key": {"label": "E3", "params": []},
+                    "witness": [
+                        [[0, 0, 103, 0, 0, 0], [0, 0, 0, 0, 0, 0]],
+                        [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 171, 0]],
+                    ],
+                    "convention": "g_inverse",
+                    "witness_field": {
+                        "kind": "GF", "p": 307, "k": 6, "modulus": [7, 0, 0, 0, 0, 0, 1]
+                    },
+                    "needs_extension": None,
+                    "trace": ["1.4"],
+                    "lambda": None,
+                },
+            ),
+            (
+                [[1, 0], [1, 1], [0, 0], [0, 0]],
+                {
+                    "key": {"label": "E4", "params": []},
+                    "witness": [
+                        [[1, 0, 0, 0], [0, 0, 0, 0]],
+                        [[0, 0, 0, 0], [103, 180, 292, 35]],
+                    ],
+                    "convention": "g_inverse",
+                    "witness_field": {"kind": "GF", "p": 307, "k": 4, "modulus": [5, 1, 0, 0, 1]},
+                    "needs_extension": None,
+                    "trace": ["2.2.1"],
+                    "lambda": None,
+                },
+            ),
+        ],
+        ids=["non-cube-E3", "non-square-E4"],
+    )
+    def test_classify_output_is_unchanged(self, capsys, msc, expected):
+        alg = json.dumps({"field": GF307_2, "msc": msc})
+        code, out, err = invoke(capsys, "classify", "-a", alg)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def _evoalg(*argv):
     return subprocess.run(
         [sys.executable, "-m", "evoalg", *argv], capture_output=True, text=True
@@ -285,6 +337,15 @@ class TestAut:
         assert doc["order_over_field"] == 6
         assert len(doc["elements"]) == 6
         assert doc["families"][0]["excluded"] == ["t != 1"]
+
+    def test_order_over_a_large_prime_field(self, capsys):
+        # counted from the description: q(q - 1) members of the E6 family
+        alg = '{"field":{"kind":"GF","p":10007,"k":1},"msc":[0,1,0,0]}'
+        t0 = time.perf_counter()
+        code, out, _ = invoke(capsys, "aut", "-a", alg)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 0
+        assert json.loads(out)["order_over_field"] == 100130042
 
     def test_family_shape_for_e6(self, capsys):
         code, out, _ = invoke(

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,3 +292,20 @@ class TestCensus:
         rep = census(F3, max_witness_ext=1)
         assert not rep.flags["witnesses_ok"]
         assert rep.flags["keys_vs_orbits_ok"]
+
+
+class TestRunCensusScript:
+    def test_json_and_csv_of_the_last_field(self, tmp_path):
+        # the README's experiment script writes the report of its last field
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out_json, out_csv = tmp_path / "census.json", tmp_path / "census.csv"
+        script = root / "scripts" / "run_census.py"
+        argv = ["--fields", "2", "3", "--json", str(out_json), "--csv", str(out_csv)]
+        proc = subprocess.run(
+            [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out_json.read_bytes() == (root / "tests" / "data" / "census_gf3.json").read_bytes()
+        assert out_csv.read_text() == census_to_csv(census(F3))

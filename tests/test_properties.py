@@ -37,7 +37,9 @@ from evoalg.serialize import (
     result_to_json,
 )
 
-from conftest import F3, F4, F5, F7, F9, basis_change_st, evolution_st, fel_st
+from evoalg.fields import _int_nthroot
+
+from conftest import F3, F4, F5, F7, F9, basis_change_st, big_q_evolution_st, evolution_st, fel_st
 
 
 class TestKeyInvarianceSmallCharacteristic:
@@ -144,6 +146,33 @@ class TestSerializationRoundTrips:
         a = dumps(census_to_json(census(F3, 6)))
         b = dumps(census_to_json(census(F3, 6)))
         assert a == b
+
+
+class TestLargeRationals:
+    """Heights up to 10^400 (and past it, in the shapes built from a root)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_q_evolution_st())
+    def test_witness_lands_exactly(self, E):
+        res = classify(E)
+        if res.witness is not None:
+            assert transform(E, res.witness) == canonical_msc(res.key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_q_evolution_st())
+    def test_needs_extension_only_without_a_rational_root(self, E):
+        res = classify(E)
+        poly = res.needs_extension
+        if poly is None:
+            return
+        assert res.witness is None
+        *low, lead = poly.coeffs  # x^n - u
+        n, u = poly.degree, -low[0] / lead
+        assert not any(low[1:])
+        rootless = (
+            _int_nthroot(abs(u.numerator), n) is None or _int_nthroot(u.denominator, n) is None
+        )
+        assert rootless or (u < 0 and n % 2 == 0)
 
 
 class TestEmbeddingTransportsClassification:

@@ -9,8 +9,10 @@ Ben-Or's test and tests primality by Miller-Rabin; every output must stay the
 one the exhaustive search gives.
 """
 
+import functools
 import math
 import random
+import time
 
 import pytest
 
@@ -212,6 +214,22 @@ class TestEmbeddingsAgainstScan:
         assert (2, 6, 12) in above and (3, 3, 6) in above
 
 
+class TestEmbeddingsAreHomomorphisms:
+    @pytest.mark.parametrize("p,a,b", EMBEDDING_PAIRS)
+    def test_raw_respects_add_and_mul(self, p, a, b):
+        # on all of src, or on a seeded sample of it past the table size
+        src, dst = GF(p, a), GF(p, b)
+        image = functools.cache(embed(src, dst).raw)
+        xs = range(src.order)
+        if src.order > fields_mod._TABLE_MAX:
+            xs = random.Random(src.order).sample(xs, fields_mod._TABLE_MAX)
+        for x in xs:
+            for y in xs:
+                assert image(src.add(x, y)) == dst.add(image(x), image(y))
+                assert image(src.mul(x, y)) == dst.mul(image(x), image(y))
+        assert image(src.one) == dst.one
+
+
 class TestModuliAgainstTrialDivision:
     def test_every_pk_up_to_3_10(self):
         for p in range(2, 244):
@@ -340,3 +358,25 @@ class TestInputsThatNeverFinishedBefore:
         # x has degree 40 over GF(3): the field's own arithmetic agrees
         x = F.el([0, 1])
         assert x ** (3**40) == x and x ** (3**20) != x and x ** (3**8) != x
+
+
+class TestWitnessesFarOutsideTheField:
+    """Carrying values into the witness field costs work per value, never
+    work proportional to the order of the field they come from."""
+
+    @pytest.mark.parametrize(
+        "abcd,label,k",
+        [((0, [2, 1], 1, 0), "E3", 6), ((1, [2, 1], 0, 0), "E4", 4)],
+        ids=["non-cube-E3", "non-square-E4"],
+    )
+    def test_over_gf_10007_squared(self, abcd, label, k):
+        F = GF(10007, 2)
+        E = EvolutionMsc.of(F, abcd)
+        t0 = time.perf_counter()
+        res = classify(E)
+        elapsed = time.perf_counter() - t0
+        K = res.witness_field
+        assert res.key.label == label and K.k == k
+        emb = embed(F, K)
+        assert transform(E.over(emb), res.witness) == canonical_msc(res.key).over(emb)
+        assert elapsed < 1.0
