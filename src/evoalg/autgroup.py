@@ -3,11 +3,11 @@
 A matrix g is an automorphism of the algebra with structure constants E when
 g is invertible and gE - E(g (x) g) = 0. For each canonical label the group
 has a known closed form: a finite list of matrices plus up to one parametric
-family, with the shape depending only on whether the characteristic is 2.
+family, evaluated in the field; only E5's family tests the characteristic.
 
 The six-element group of E3 is generated by the cube roots of unity; when
 x^2 + x + 1 has no root in the base field the extra elements live in its
-quadratic extension and drop out of base-field instantiation. In
+quadratic extension, and those with an entry y != y^q drop out. In
 characteristic 3 the same recipe degenerates to {identity, swap}, which the
 brute-force oracle confirms.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .classify import CanonicalKey, UnsupportedKey
-from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, embed, find_root
+from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, find_root
 from .msc import BasisChange, Mat2, Msc, transform
 
 
@@ -140,7 +140,6 @@ class AutDescription:
     base_field: FieldCtx
     element_field: FieldCtx  # quadratic extension when the cube roots of unity
     # live outside the base field (E3 only); the base field otherwise
-    char_regime: str  # "not2" | "char2"
     finite_elements: tuple  # Mat2 over element_field
     families: tuple  # ParamFamily over base_field
     missing_root: Poly | None = dc_field(default=None)
@@ -156,14 +155,13 @@ def _dedupe(mats):
 
 
 def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
-    """The known automorphism group description for a canonical label, in the
-    regime of the field's characteristic."""
+    """The known automorphism group description for a canonical label over
+    the field."""
     if field is not key.field:
         raise MixedFields("key and field disagree")
     if key.label == "E0":
         raise UnsupportedKey("the zero algebra is all of GL(2), not described here")
     f = field
-    regime = "char2" if f.char == 2 else "not2"
     ident = Mat2.identity(f)
     swap = Mat2.swap(f)
     elements: tuple = (ident,)
@@ -207,7 +205,7 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
     elif key.label == "E4":
         elements = _dedupe((ident, Mat2(f, ((f.one, f.zero), (f.zero, f.neg(f.one))))))
     elif key.label == "E5":
-        excl = () if regime == "char2" else (("t", Fraction(1, 2)),)
+        excl = () if f.char == 2 else (("t", Fraction(1, 2)),)
         fam = ParamFamily(
             f,
             (
@@ -229,18 +227,32 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
         families = (fam,)
         elements = ()
 
-    return AutDescription(key, f, element_field, regime, elements, families, missing)
+    return AutDescription(key, f, element_field, elements, families, missing)
+
+
+def _base_field_elements(desc: AutDescription) -> tuple:
+    """The finite elements with entries y in the base field (y^q = y), as
+    matrices over it. Those of E3 outside it hold only 0 and 1, which every
+    field of characteristic p encodes alike."""
+    F, K = desc.base_field, desc.element_field
+    if K is F:
+        return desc.finite_elements
+    out = []
+    for m in desc.finite_elements:
+        if all(K.pow_raw(y, F.order) == y for r in m.e for y in r):
+            assert all(y < F.char for r in m.e for y in r), "entry outside the prime field"
+            out.append(Mat2(F, m.e))
+    return tuple(out)
 
 
 def aut_order(desc: AutDescription) -> int | None:
     """Number of automorphisms with entries in the base field, without listing
-    them: over GF(q), the finite elements whose entries satisfy y^q = y, plus
+    them: over GF(q), the finite elements in it plus
     (q - excluded values) * q^(param_count - 1) per family; over Q, None when
     a family is present."""
-    q, K = desc.base_field.order, desc.element_field
+    q, inside = desc.base_field.order, len(_base_field_elements(desc))
     if q is None:
-        return None if desc.families else len(desc.finite_elements)
-    inside = sum(all(K.pow_raw(y, q) == y for r in m.e for y in r) for m in desc.finite_elements)
+        return None if desc.families else inside
     return inside + sum((q - len(f.excluded)) * q ** (f.param_count - 1) for f in desc.families)
 
 
@@ -253,21 +265,7 @@ def aut_instantiate(desc: AutDescription, field: FieldCtx) -> list:
     if field.order is None:
         raise InfiniteField("cannot enumerate over an infinite field")
     f = field
-    out = []
-    if desc.element_field is f:
-        out.extend(desc.finite_elements)
-    else:
-        image = embed(f, desc.element_field).image_raw_map()
-        for m in desc.finite_elements:
-            pulled = []
-            for row in m.e:
-                prow = tuple(image.get(x) for x in row)
-                if None in prow:
-                    pulled = None
-                    break
-                pulled.append(prow)
-            if pulled is not None:
-                out.append(Mat2(f, tuple(pulled)))
+    out = list(_base_field_elements(desc))
     for fam in desc.families:
         if fam.param_count == 1:
             for t in range(f.order):

@@ -151,12 +151,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.jobs < 1:
+        raise SchemaError(f"--jobs must be at least 1, got {args.jobs}")
     f = field_from_json(_load_json(args.field))
     report = census(f, max_witness_ext=args.max_ext, jobs=args.jobs)
-    _emit(census_to_json(report))
-    if args.csv:
+    if args.csv:  # first, so a failed write leaves stdout empty
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(census_to_csv(report))
+    _emit(census_to_json(report))
     return 0 if report.ok else 2
 
 
@@ -223,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="orbit census with brute-force cross-checks")
     p.add_argument("--field", required=True, help="field descriptor JSON (path or inline)")
     p.add_argument("--max-ext", type=int, default=6, help="witness extension budget")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most the CPU count)")
     p.add_argument("--csv", help="also write a CSV summary to this path")
     p.set_defaults(fn=_cmd_census)
 

@@ -3,10 +3,11 @@
 A matrix D is a derivation of the algebra with structure constants E when
 E(D (x) I + I (x) D) - DE = 0. The condition is linear in D, so Der(E) is
 the nullspace of an 8x4 exact linear system; `der_solve` builds that system
-from the defining residual and reduces it by Gaussian elimination over the
-field. The known answers for the canonical representatives (one regime for
-characteristic 0 and >= 5, one each for characteristic 2 and 3) are exposed
-by `der_closed_form` as a cross-check, never as the computation.
+from the residuals of the four unit matrices and reduces it by Gaussian
+elimination over the field. The known answers for the canonical
+representatives are exposed by `der_closed_form` as a cross-check, never as
+the computation: one table of generators evaluated in the field, plus E4 in
+characteristic 2 and E3 in characteristic 3.
 
 Bases are normalized to reduced row echelon form in the coordinate order
 (x, y, z, t) with leading coefficient 1, so equal subspaces have equal bases.
@@ -144,69 +145,46 @@ def _basis_from_vectors(f: FieldCtx, vecs) -> DerBasis:
     return DerBasis(f, mats)
 
 
+def _unit_residuals(E: Msc) -> tuple:
+    """Residuals R1..R4 of the four unit matrices as 8 flat raw entries each;
+    that of D = [[x, y], [z, t]] is x R1 + y R2 + z R3 + t R4."""
+    o, z = E.field.one, E.field.zero
+    units = (((o, z), (z, z)), ((z, o), (z, z)), ((z, z), (o, z)), ((z, z), (z, o)))
+    return tuple(tuple(v for row in _der_residual_raw(E, u) for v in row) for u in units)
+
+
 def der_solve(E: Msc) -> DerBasis:
     """Exact nullspace of the derivation condition for E."""
-    f = E.field
-    units = (
-        ((f.one, f.zero), (f.zero, f.zero)),
-        ((f.zero, f.one), (f.zero, f.zero)),
-        ((f.zero, f.zero), (f.one, f.zero)),
-        ((f.zero, f.zero), (f.zero, f.one)),
-    )
-    cols = [
-        [v for row in _der_residual_raw(E, u) for v in row] for u in units
-    ]
-    system = [tuple(cols[k][r] for k in range(4)) for r in range(8)]
-    return _basis_from_vectors(f, _nullspace(system, f))
+    system = list(zip(*_unit_residuals(E)))  # 8 rows, one coefficient per unit
+    return _basis_from_vectors(E.field, _nullspace(system, E.field))
 
 
-# generating vectors (x, y, z, t) of the known derivation algebras, one table
-# per characteristic regime; normalized through the same RREF as der_solve
+# generating vectors (x, y, z, t) of the known derivation algebras, evaluated
+# in the field; normalized through the same RREF as der_solve
 _CLOSED = {
-    "not23": {
-        "E1": (),
-        "E2b": (),
-        "E20": ((0, 0, 1, -1),),
-        "E3": (),
-        "E4": (),
-        "E5": ((-1, 1, 1, -1),),
-        "E6": ((2, 0, 0, 1), (0, 1, 0, 0)),
-    },
-    "char2": {
-        "E1": (),
-        "E2b": (),
-        "E20": ((0, 0, 1, -1),),
-        "E3": (),
-        "E4": ((0, 0, 0, 1),),
-        "E5": ((1, -1, 1, -1),),
-        "E6": ((0, 1, 0, 0), (0, 0, 0, 1)),
-    },
-    "char3": {
-        "E1": (),
-        "E2b": (),
-        "E20": ((0, 0, 1, -1),),
-        "E3": ((2, 0, 0, 1),),
-        "E4": (),
-        "E5": ((-1, 1, 1, -1),),
-        "E6": ((2, 0, 0, 1), (0, 1, 0, 0)),
-    },
+    "E1": (),
+    "E2b": (),
+    "E20": ((0, 0, 1, -1),),
+    "E3": (),
+    "E4": (),
+    "E5": ((-1, 1, 1, -1),),
+    "E6": ((2, 0, 0, 1), (0, 1, 0, 0)),
 }
+# the derivation algebras that grow in one characteristic, by (char, label)
+_CLOSED_IN_CHAR = {(2, "E4"): ((0, 0, 0, 1),), (3, "E3"): ((2, 0, 0, 1),)}
 
 
 def der_closed_form(key: CanonicalKey, field: FieldCtx) -> DerBasis:
     """The known derivation algebra of a canonical representative, by label
-    and characteristic regime."""
+    and, for E4 and E3, the field's characteristic."""
     if field is not key.field:
         raise MixedFields("key and field disagree")
     if key.label == "E0":
         raise UnsupportedKey("the zero algebra has every matrix as a derivation")
-    regime = (
-        "char2" if field.char == 2 else "char3" if field.char == 3 else "not23"
-    )
     label = key.label
     if label == "E2":
         label = "E20" if key.params[0].is_zero else "E2b"
-    gens = _CLOSED[regime][label]
+    gens = _CLOSED_IN_CHAR.get((field.char, label), _CLOSED[label])
     vecs = [tuple(field.coerce(c) for c in g) for g in gens]
     canon, _ = _rref(vecs, field) if vecs else ([], [])
     return _basis_from_vectors(field, canon)

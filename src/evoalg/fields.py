@@ -863,12 +863,6 @@ class Embedding:
         r = self.root
         return a if r is None else _horner(self.dst, self.src._coeffs(a), r)
 
-    def image_raw_map(self) -> dict:
-        """dst raw -> src raw for the image of the embedding (finite src only)."""
-        if self.src.order is None:
-            raise InfiniteField("image map needs a finite source")
-        return {self.raw(a): a for a in range(self.src.order)}
-
     def __repr__(self):
         return f"Embedding({self.src} -> {self.dst})"
 

@@ -21,11 +21,12 @@ the generic product, so the oracle does not rest on the closed forms alone.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .autgroup import aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, canonical_msc, classify
-from .derivations import _der_residual_raw, der_solve, der_closed_form
+from .derivations import _unit_residuals, der_solve, der_closed_form
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed, field_make
 from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform
 
@@ -107,11 +108,7 @@ def brute_der(E: Msc, field: FieldCtx) -> list:
     q = field.order
     add, sub, mul = _tables(field)
     # R[k][c]: the residual of c times the k-th unit matrix, as 8 raw entries
-    R = []
-    for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        r0, r1 = _der_residual_raw(E, (u[:2], u[2:]))
-        R.append([[mc[v] for v in r0 + r1] for mc in mul])
-    R1, R2, R3, R4 = R
+    R1, R2, R3, R4 = ([[mc[v] for v in r] for mc in mul] for r in _unit_residuals(E))
     cancel: dict[tuple, list] = {}  # -t R4 -> the t giving it, ascending
     neg = sub[0]
     for t in range(q):
@@ -264,7 +261,8 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
                           fixes C under each of them
       der_closed_form_ok  solver, closed forms and derivation scans agree
 
-    The result is deterministic and independent of `jobs`.
+    The result is deterministic and independent of `jobs`, of which at most
+    the CPU count are used.
     """
     if field.order is None:
         raise InfiniteField("census needs a finite field")
@@ -274,6 +272,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     F = field
     total = q**4
     desc = F.descriptor()
+    jobs = min(jobs, os.cpu_count() or 1)
 
     # phase 1: classify + witness verification, partitionable over workers
     if jobs > 1:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evoalg import Mat2, field_make
 from evoalg.cli import run
+from evoalg.serialize import matrix_to_json
 
 Q = {"kind": "Q"}
 GF7 = {"kind": "GF", "p": 7, "k": 1}
@@ -368,6 +371,45 @@ class TestAut:
         )
         assert code == 1 and "finite" in err
 
+    @pytest.mark.parametrize(
+        "p, k, enumerate_, digest",
+        [
+            (2, 1, False, "5e53aa94bde7b372ddaf4e13519890803280328141f1d772190dcbc171cc0b8a"),
+            (2, 1, True, "b501536466dd592b9537058648b88cadea3a0085650f26ad09b14f5c8b0009ab"),
+            (5, 1, False, "9d68d282ef293ca5096337a6a5025bc91fd9aa0704f3594cd89304e9dff00bf2"),
+            (5, 1, True, "ae8799db810535b49f4b20e9d8128d04cc8a2432b4646f97ce9e52fe596960de"),
+            (2, 3, False, "ed5261b74da381cbe35dd0bc956256a1b4c760c9b9f5ef1959ddfd946df74639"),
+            (2, 3, True, "8f7dabf283e41c01ad8ce2fa38b469fd0e08d12867f34fa8495a7a1470486ec2"),
+            (2, 5, False, "2ba08c44d41444db1972399c1145a1e99de2ef38530908334a76cccb7a14805b"),
+            (2, 5, True, "9f67a4db73e957c7ccfa317a37a8fd2fdd02d9e87fe87cde0b696d5a8958a19a"),
+            (5, 3, False, "bca5b39f99e1f046678382ad0aeff7b2338995cfd52bc46ea34e57cbe9b2f2c3"),
+            (5, 3, True, "2a3adcf8565ad89c4dbf1750e396b730004d9028b5e6a488d86391765bad9217"),
+        ],
+    )
+    def test_e3_without_cube_roots_of_unity_is_pinned(self, capsys, p, k, enumerate_, digest):
+        # x^2 + x + 1 has no root in these fields, so the six-element closed
+        # form lives in the quadratic extension; the stdout digests pin the
+        # JSON byte for byte
+        alg = json.dumps({"field": {"kind": "GF", "p": p, "k": k}, "msc": [0, 1, 1, 0]})
+        code, out, err = invoke(capsys, "aut", "-a", alg, *(["--enumerate"] if enumerate_ else []))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_enumerate_e3_over_gf_2_15_needs_no_table_of_the_field(self, capsys):
+        desc = {"kind": "GF", "p": 2, "k": 15}
+        alg = json.dumps({"field": desc, "msc": [0, 1, 1, 0]})
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, "aut", "-a", alg, "--enumerate")
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        F = field_make(desc)
+        assert doc["order_over_field"] == 2
+        assert doc["elements"] == [
+            matrix_to_json(Mat2.identity(F)),
+            matrix_to_json(Mat2.swap(F)),
+        ]
+
     def test_zero_algebra_rejected(self, capsys):
         code, _, err = invoke(
             capsys, "aut", "-a", '{"field":{"kind":"Q"},"msc":["0","0","0","0"]}'
@@ -485,6 +527,26 @@ class TestCensus:
         assert doc["total_evolution_msc"] == 81
         assert all(doc["flags"].values())
         assert csv_path.read_text().startswith("key,count,aut_order,der_dim")
+
+    def test_unwritable_csv_prints_nothing(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys,
+            "census",
+            "--field",
+            '{"kind":"GF","p":2,"k":1}',
+            "--csv",
+            str(tmp_path / "missing" / "x.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("evoalg: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_refused(self, capsys, jobs):
+        code, out, err = invoke(
+            capsys, "census", "--field", '{"kind":"GF","p":2,"k":1}', "--jobs", jobs
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("evoalg: ") and err.count("\n") == 1
 
     def test_determinism_across_jobs(self, capsys):
         code1, out1, _ = invoke(capsys, "census", "--field", '{"kind":"GF","p":3,"k":1}')

@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from evoalg import (
+    GF,
     QQ,
     CanonicalKey,
     Fel,
@@ -21,7 +23,7 @@ from evoalg import (
 )
 from evoalg.oracle import brute_der
 
-from conftest import F3, F4, F5, F7, F9
+from conftest import F2, F3, F4, F5, F7, F9
 from test_autgroup import all_keys
 
 
@@ -141,6 +143,57 @@ class TestClosedForm:
             assert der_closed_form(k, field) == der_solve(canonical_msc(k)), k
 
 
+# der_closed_form bases, label by label, in the coordinates (x, y, z, t) of
+# D = [[x, y], [z, t]]; raw values of the field. Characteristic 2 and 3 differ
+# from the generic answer only by evaluating the same generators there, except
+# E4 in characteristic 2 and E3 in characteristic 3.
+_CHAR2 = {
+    "E20": ((0, 0, 1, 1),),
+    "E4": ((0, 0, 0, 1),),
+    "E5": ((1, 1, 1, 1),),
+    "E6": ((0, 1, 0, 0), (0, 0, 0, 1)),
+}
+_CHAR3 = {
+    "E20": ((0, 0, 1, 2),),
+    "E3": ((1, 0, 0, 2),),
+    "E5": ((1, 2, 2, 1),),
+    "E6": ((1, 0, 0, 2), (0, 1, 0, 0)),
+}
+CLOSED_FORM_VECTORS = [
+    (QQ, {
+        "E20": ((0, 0, 1, -1),),
+        "E5": ((1, -1, -1, 1),),
+        "E6": ((1, 0, 0, Fraction(1, 2)), (0, 1, 0, 0)),
+    }),
+    (F2, _CHAR2),
+    (F4, _CHAR2),
+    (GF(2, 3), _CHAR2),
+    (F3, _CHAR3),
+    (F9, _CHAR3),
+    (F5, {"E20": ((0, 0, 1, 4),), "E5": ((1, 4, 4, 1),), "E6": ((1, 0, 0, 3), (0, 1, 0, 0))}),
+    (F7, {"E20": ((0, 0, 1, 6),), "E5": ((1, 6, 6, 1),), "E6": ((1, 0, 0, 4), (0, 1, 0, 0))}),
+]
+
+
+class TestClosedFormVectors:
+    @pytest.mark.parametrize(
+        "field, want", CLOSED_FORM_VECTORS, ids=[str(f) for f, _ in CLOSED_FORM_VECTORS]
+    )
+    def test_every_label(self, field, want):
+        pair = (2, 4) if field is F5 else (2, 3)
+        keys = {
+            "E1": CanonicalKey(field, "E1", pair),
+            "E20": CanonicalKey(field, "E2", (0,)),
+            "E2b": CanonicalKey(field, "E2", (1,)),
+            "E3": CanonicalKey(field, "E3"),
+            "E4": CanonicalKey(field, "E4"),
+            "E5": CanonicalKey(field, "E5"),
+            "E6": CanonicalKey(field, "E6"),
+        }
+        for name, k in keys.items():
+            assert der_closed_form(k, field).vectors() == want.get(name, ()), name
+
+
 class TestDimensionTable:
     @pytest.mark.parametrize("field", [QQ, F5])
     def test_generic_characteristic(self, field):
@@ -224,3 +277,18 @@ class TestBruteOracle:
             E = canonical_msc(k)
             got = {tuple(v for row in D.e for v in row) for D in brute_der(E, field)}
             assert got == span_raws(field, der_solve(E)), k
+
+    @pytest.mark.parametrize("field", [F2, F3, F4])
+    def test_brute_der_equals_solver_span_off_evolution_form(self, field):
+        # full 2x4 structure constants, as `evoalg der` accepts them; every
+        # fourth has a zero row
+        rng = random.Random(20170102 + field.order)
+        for i in range(100):
+            rows = [tuple(rng.randrange(field.order) for _ in range(4)) for _ in range(2)]
+            if i % 4 == 0:
+                rows[i % 8 // 4] = (0, 0, 0, 0)
+            E = Msc(field, tuple(rows))
+            solved = der_solve(E)
+            got = {tuple(v for row in D.e for v in row) for D in brute_der(E, field)}
+            assert got == span_raws(field, solved), rows
+            assert all(der_check(E, D) for D in solved.basis), rows

@@ -260,6 +260,38 @@ class TestCensus:
         assert dumps(census_to_json(census(F, jobs=1))) == golden
         assert dumps(census_to_json(census(F, jobs=2))) == golden
 
+    def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
+        # a fake pool records the worker count asked for and runs the chunks
+        # in this process, so no large jobs value ever reaches the OS
+        import multiprocessing
+
+        asked = []
+
+        class FakePool:
+            def __init__(self, n):
+                asked.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                return [fn(*a) for a in args]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        golden = (Path(__file__).parent / "data" / "census_gf3.json").read_text()
+        assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
+        assert asked == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
+        assert asked == [3]
+
     def test_shared_seed_orbit_clears_flags(self, monkeypatch):
         # every key seeded from one representative: the later seeds land in
         # an orbit already taken, which must show in the flags, not raise
