@@ -50,17 +50,6 @@ class TSPoly:
                 cleaned.append((exps, c))
         self.terms = tuple(cleaned)
 
-    def eval_raw(self, f: FieldCtx, t, s=None):
-        acc = f.zero
-        for (i, j), c in self.terms:
-            v = f.coerce(c)
-            for _ in range(i):
-                v = f.mul(v, t)
-            for _ in range(j):
-                v = f.mul(v, s)
-            acc = f.add(acc, v)
-        return acc
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -87,6 +76,18 @@ class TSPoly:
 
     def __repr__(self):
         return f"TSPoly({self.render()!r})"
+
+
+def _eval_terms(f: FieldCtx, terms, t, s):
+    """The value at raw t, s of terms whose coefficients are raw in f."""
+    acc = f.zero
+    for (i, j), v in terms:
+        for _ in range(i):
+            v = f.mul(v, t)
+        for _ in range(j):
+            v = f.mul(v, s)
+        acc = f.add(acc, v)
+    return acc
 
 
 _T = (1, 0)
@@ -119,11 +120,17 @@ class ParamFamily:
             raise ValueError(f"family takes {self.param_count} parameter(s)")
         if not self.admissible_raw(t.raw, None if s is None else s.raw):
             raise ValueError("parameter value is excluded")
-        sr = None if s is None else s.raw
-        rows = tuple(
-            tuple(p.eval_raw(f, t.raw, sr) for p in row) for row in self.entries
-        )
-        return Mat2(f, rows)
+        return self.matrix_raw(self.raw_terms(), t.raw, None if s is None else s.raw)
+
+    def raw_terms(self) -> tuple:
+        """The entries' terms, their coefficients converted into the field."""
+        co = self.field.coerce
+        return tuple(tuple(tuple((e, co(c)) for e, c in p.terms) for p in row) for row in self.entries)
+
+    def matrix_raw(self, terms, t, s) -> Mat2:
+        """The member at raw t, s from `raw_terms()`, without `matrix_at`'s checks."""
+        f = self.field
+        return Mat2(f, tuple(tuple(_eval_terms(f, p, t, s) for p in row) for row in terms))
 
     def entries_text(self):
         return [[p.render() for p in row] for row in self.entries]
@@ -267,14 +274,9 @@ def aut_instantiate(desc: AutDescription, field: FieldCtx) -> list:
     f = field
     out = list(_base_field_elements(desc))
     for fam in desc.families:
-        if fam.param_count == 1:
-            for t in range(f.order):
-                if fam.admissible_raw(t):
-                    out.append(fam.matrix_at(Fel(f, t)))
-        else:
-            for t in range(f.order):
-                if not fam.admissible_raw(t):
-                    continue
-                for s in range(f.order):
-                    out.append(fam.matrix_at(Fel(f, t), Fel(f, s)))
+        terms = fam.raw_terms()
+        for t in range(f.order):
+            if fam.admissible_raw(t):
+                ss = range(f.order) if fam.param_count == 2 else (None,)
+                out.extend(fam.matrix_raw(terms, t, s) for s in ss)
     return list(_dedupe(out))

@@ -146,11 +146,18 @@ def _basis_from_vectors(f: FieldCtx, vecs) -> DerBasis:
 
 
 def _unit_residuals(E: Msc) -> tuple:
-    """Residuals R1..R4 of the four unit matrices as 8 flat raw entries each;
-    that of D = [[x, y], [z, t]] is x R1 + y R2 + z R3 + t R4."""
-    o, z = E.field.one, E.field.zero
-    units = (((o, z), (z, z)), ((z, o), (z, z)), ((z, z), (o, z)), ((z, z), (z, o)))
-    return tuple(tuple(v for row in _der_residual_raw(E, u) for v in row) for u in units)
+    """Residuals R1..R4 of the four unit matrices as 8 flat raw entries each,
+    `_der_residual_raw` at each unit written out in the rows of E; that of
+    D = [[x, y], [z, t]] is x R1 + y R2 + z R3 + t R4."""
+    f = E.field
+    add, sub, neg, z = f.add, f.sub, f.neg, f.zero
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = E.rows
+    return (
+        (a0, z, z, neg(a3), add(b0, b0), b1, b2, z),
+        (neg(b0), sub(a0, b1), sub(a0, b2), sub(add(a1, a2), b3), z, b0, b0, add(b1, b2)),
+        (add(a1, a2), a3, a3, z, sub(add(b1, b2), a0), sub(b3, a1), sub(b3, a2), neg(a3)),
+        (z, a1, a2, add(a3, a3), neg(b0), z, z, b3),
+    )
 
 
 def der_solve(E: Msc) -> DerBasis:

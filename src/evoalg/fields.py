@@ -848,20 +848,27 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 class Embedding:
-    """Field homomorphism src -> dst. `root` is the raw image of the generator
-    of src, at which `raw` evaluates an element's coefficients, or None when
-    the raw encodings coincide (identity, or prime subfield into an extension)."""
+    """Field homomorphism src -> dst. `raw` evaluates an element's
+    coefficients at `root`, the raw image of the generator of src, which is
+    found on first need. Values below the characteristic are constant
+    polynomials, which dst encodes as they are; so are all values of the
+    identity, and those of a prime field, which never need the root."""
 
     __slots__ = ("src", "dst", "root")
 
-    def __init__(self, src: FieldCtx, dst: FieldCtx, root=None):
+    def __init__(self, src: FieldCtx, dst: FieldCtx):
         self.src = src
         self.dst = dst
-        self.root = root
+        self.root = None
 
     def raw(self, a):
-        r = self.root
-        return a if r is None else _horner(self.dst, self.src._coeffs(a), r)
+        if self.src is self.dst or a < self.src.char:
+            return a
+        if self.root is None:
+            # the first root of src's modulus in dst (first-root convention),
+            # which exists: the modulus is irreducible and its degree divides dst.k
+            self.root = _first_root_raw(self.dst, self.src.modulus)
+        return _horner(self.dst, self.src._coeffs(a), self.root)
 
     def __repr__(self):
         return f"Embedding({self.src} -> {self.dst})"
@@ -938,22 +945,15 @@ def _first_root_raw(f: FieldCtx, coeffs):
 
 @functools.cache
 def embed(src: FieldCtx, dst: FieldCtx) -> Embedding:
-    """The canonical embedding src -> dst (first-root convention), found once
-    per pair of fields."""
+    """The canonical embedding src -> dst (first-root convention), made once
+    per pair of fields; its root is found when a value first needs it."""
     if src is dst:
         return Embedding(src, dst)
     if src.kind != "GF" or dst.kind != "GF" or src.char != dst.char:
         raise FieldError(f"no embedding {src} -> {dst}")
     if dst.k % src.k:
         raise FieldError(f"{src} does not embed in {dst}: {src.k} does not divide {dst.k}")
-    root = None  # for src.k == 1: residues are the constant indices of dst
-    if src.k > 1:
-        # send the generator of src to the first root of src's modulus in dst;
-        # an element's coefficients are residues, which dst encodes as they are
-        root = _first_root_raw(dst, src.modulus)
-        if root is None:
-            raise FieldError(f"modulus of {src} has no root in {dst}")
-    return Embedding(src, dst, root)
+    return Embedding(src, dst)
 
 
 def extension_of(field: FieldCtx, degree: int) -> tuple[FieldCtx, Embedding]:

@@ -4,20 +4,22 @@ Everything here goes through the defining conditions directly: GL(2,q) is
 enumerated, isomorphisms are found by trying every invertible change of
 basis, automorphisms and derivations by scanning all matrices. The census
 partitions the whole evolution subset of a field's structure-constant space
-into orbits, one pass over GL(2,q) per orbit. Seeding one orbit from each
-key's canonical representative, the same pass collects the changes fixing
-it, so the closed-form automorphism groups are compared with these
-stabilizers, and the classifier and the derivation solver with the orbits
-and the derivation scans.
+into orbits, one pass over GL(2,q) modulo scalars per orbit. Seeding one
+orbit from each key's canonical representative, the same pass collects the
+changes fixing it, so the closed-form automorphism groups are compared with
+these stabilizers, and the classifier and the derivation solver with the
+orbits and the derivation scans.
 
-The census's two q^6 loops run over plain-integer field tables: the orbit
-pass evaluates the closed forms of `msc.transform_evolution` and drops an
-image as soon as a middle entry is nonzero, and `brute_der` solves the
-derivation condition, which is linear in the matrix, as a table lookup per
-(x, y, z). Every stabilizer element is checked again through `aut_check`,
-the generic product, so the oracle does not rest on the closed forms alone.
+The census's loops run over plain-integer field tables. A scalar g^-1 = mu I
+carries every algebra A to mu A, so the orbit pass visits one g^-1 per scalar
+class, q(q^2 - 1) of them: it evaluates the closed forms of
+`msc.transform_evolution`, drops an image as soon as a middle entry is
+nonzero, and scales each image that survives by the q - 1 units. The
+derivation scan solves the derivation condition, which is linear in the
+matrix, as a table lookup per (x, y, z), one per scalar class. Every
+stabilizer element is checked again through `aut_check`, the generic
+product, so the oracle does not rest on the closed forms alone.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -95,33 +97,38 @@ def brute_aut(E: Msc, field: FieldCtx) -> list:
 
 def brute_der(E: Msc, field: FieldCtx) -> list:
     """All matrices (invertible or not) satisfying the derivation condition,
-    in `itertools.product` order of their raw entries (x, y, z, t).
+    in `itertools.product` order of their raw entries (x, y, z, t)."""
+    if E.field is not field:
+        raise MixedFields("structure constants must lie in the scanned field")
+    _check_scan(field, "derivation scan")
+    return [Mat2(field, ((x, y), (z, t))) for x, y, z, t in _der_scan_raw(E, _tables(field))]
+
+
+def _der_scan_raw(E: Msc, tables) -> list:
+    """`brute_der` as sorted raw (x, y, z, t) tuples, over the field tables.
 
     The residual is linear in D: it is x R1 + y R2 + z R3 + t R4 for the
     residuals R1..R4 of the four unit matrices. The t values are grouped by
     -t R4, so each (x, y, z) finds the t that cancel x R1 + y R2 + z R3 in one
-    lookup. No linear algebra is involved, so the scan stays independent of
-    `der_solve`."""
-    if E.field is not field:
-        raise MixedFields("structure constants must lie in the scanned field")
-    _check_scan(field, "derivation scan")
-    q = field.order
-    add, sub, mul = _tables(field)
+    lookup. Since mu D is a derivation whenever D is, only (0, 0, 0) and the
+    (x, y, z) whose first nonzero entry is 1 are visited, and each hit is
+    scaled by every unit mu. No linear algebra is involved, so the scan stays
+    independent of `der_solve`."""
+    add, sub, mul = tables
+    q = len(mul)
     # R[k][c]: the residual of c times the k-th unit matrix, as 8 raw entries
     R1, R2, R3, R4 = ([[mc[v] for v in r] for mc in mul] for r in _unit_residuals(E))
-    cancel: dict[tuple, list] = {}  # -t R4 -> the t giving it, ascending
+    cancel: dict[tuple, list] = {}  # -t R4 -> the t giving it
     neg = sub[0]
     for t in range(q):
         cancel.setdefault(tuple(neg[v] for v in R4[t]), []).append(t)
-    out = []
-    for x in range(q):
-        for y in range(q):
-            xy = [add[u][v] for u, v in zip(R1[x], R2[y])]
-            for z in range(q):
-                ts = cancel.get(tuple(add[u][v] for u, v in zip(xy, R3[z])))
-                if ts:
-                    out.extend(Mat2(field, ((x, y), (z, t))) for t in ts)
-    return out
+    out = set()
+    for x, y in [(0, 0), (0, 1)] + [(1, y) for y in range(q)]:
+        xy = [add[u][v] for u, v in zip(R1[x], R2[y])]
+        for z in range(2 if x == y == 0 else q):
+            for t in cancel.get(tuple(add[u][v] for u, v in zip(xy, R3[z])), ()):
+                out.update((m[x], m[y], m[z], m[t]) for m in mul[1:])
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +158,10 @@ class CensusReport:
         return all(self.flags.values())
 
 
-def _abcd_of_index(q: int, idx: int):
-    out = []
-    for _ in range(4):
-        idx, r = divmod(idx, q)
-        out.append(r)
-    return tuple(out)
+def _abcds(q: int) -> list:
+    """Every (a, b, c, d) over a field of order q in index order, the index
+    being a + q b + q^2 c + q^3 d."""
+    return [v[::-1] for v in itertools.product(range(q), repeat=4)]
 
 
 def _verify_witness(E: EvolutionMsc, res, max_ext: int):
@@ -178,10 +183,8 @@ def _phase1_chunk(desc: dict, lo: int, hi: int, max_ext: int):
     """Classify and witness-check the evolution algebras with indices
     [lo, hi); returns plain picklable tuples."""
     F = field_make(desc)
-    q = F.order
     out = []
-    for idx in range(lo, hi):
-        abcd = _abcd_of_index(q, idx)
+    for abcd in _abcds(F.order)[lo:hi]:
         E = EvolutionMsc(F, abcd)
         res = classify(E)
         ok, _ = _verify_witness(E, res, max_ext)
@@ -190,36 +193,43 @@ def _phase1_chunk(desc: dict, lo: int, hi: int, max_ext: int):
 
 
 def _gl_table(f: FieldCtx, tables) -> list:
-    """GL(2,q) for the census orbit kernel: per g^-1 = ((x1, e1), (x2, e2)),
-    its entries, the mul-table rows of x1*e1, x2*e2, x1^2, x2^2, e1^2, e2^2
-    and delta^-1, and g^-1 itself."""
+    """GL(2,q) modulo scalars for the census orbit kernel: one g^-1 =
+    ((x1, e1), (x2, e2)) per scalar class, the one whose first row's first
+    nonzero entry is 1, with the mul-table rows of x1*e1, x2*e2, x1^2, x2^2,
+    e1^2, e2^2 and delta^-1. `_gl2_raw` lists those classes first, in
+    lexicographic order, so the scan stops at the first x1 above 1."""
     _, sub, mul = tables
     out = []
-    for m in _gl2_raw(f):
+    for m in itertools.takewhile(lambda m: m[0][0] < 2, _gl2_raw(f)):
         (x1, e1), (x2, e2) = m
+        if (x1 or e1) != 1:
+            continue
         mx1, mx2, me1, me2 = mul[x1], mul[x2], mul[e1], mul[e2]
         out.append((
             x1, e1, x2, e2,
             mul[mx1[e1]], mul[mx2[e2]],
             mul[mx1[x1]], mul[mx2[x2]], mul[me1[e1]], mul[me2[e2]],
             mul[f.inv(sub[mx1[e2]][mx2[e1]])],
-            m,
         ))
     return out
 
 
 def _orbit_raw(tables, gl, abcd):
-    """Evolution images of one evolution algebra under the census group table
+    """Evolution images of one evolution algebra under the census class table
     `gl` (see `_gl_table`), and the g^-1 whose change fixes it.
 
     Each image comes from the closed forms of `msc.transform_evolution`; an
     image is dropped as soon as its middle entry a2, then b2, is nonzero, which
-    needs no delta^-1 since delta is a unit."""
+    needs no delta^-1 since delta is a unit. Those tests depend only on the
+    class of g^-1, because the change of mu g^-1 carries the algebra to mu
+    times its image under g^-1; so each class that passes them yields the q-1
+    images mu m, and mu g^-1 fixes the algebra where mu m is it."""
     add, sub, mul = tables
+    units = mul[1:]
     a, b, c, d = abcd
     ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
     members, stab = set(), []
-    for x1, e1, x2, e2, xe1, xe2, xx1, xx2, ee1, ee2, di, ginv in gl:
+    for x1, e1, x2, e2, xe1, xe2, xx1, xx2, ee1, ee2, di in gl:
         u1 = sub[ma[e2]][mc[e1]]
         u2 = sub[mb[e2]][md[e1]]
         if add[xe1[u1]][xe2[u2]]:
@@ -228,15 +238,15 @@ def _orbit_raw(tables, gl, abcd):
         v2 = sub[md[x1]][mb[x2]]
         if add[xe1[v1]][xe2[v2]]:
             continue
-        m = (
-            di[add[xx1[u1]][xx2[u2]]],
-            di[add[ee1[u1]][ee2[u2]]],
-            di[add[xx1[v1]][xx2[v2]]],
-            di[add[ee1[v1]][ee2[v2]]],
-        )
-        members.add(m)
-        if m == abcd:
-            stab.append(ginv)
+        m0 = di[add[xx1[u1]][xx2[u2]]]
+        m1 = di[add[ee1[u1]][ee2[u2]]]
+        m2 = di[add[xx1[v1]][xx2[v2]]]
+        m3 = di[add[ee1[v1]][ee2[v2]]]
+        for mu in units:
+            m = (mu[m0], mu[m1], mu[m2], mu[m3])
+            members.add(m)
+            if m == abcd:
+                stab.append(((mu[x1], mu[e1]), (mu[x2], mu[e2])))
     return members, stab
 
 
@@ -244,12 +254,14 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     """Classify every evolution algebra over a small finite field and check
     the classifier, automorphism and derivation machinery against brute force.
 
-    One pass over GL(2,q) per orbit yields both the orbit partition and, for
-    the orbit seeded from each key's canonical representative C, the changes
-    fixing C: their g^-1 form Aut(C), which the closed forms are compared with.
-    The pass computes images from the closed-form transform over field
-    tables; each element of Aut(C) (C not E0) is then checked again through
-    the generic product, and a miss clears `aut_closed_form_ok`.
+    One pass over GL(2,q), a scalar class and its q - 1 multiples at a time,
+    per orbit yields both the orbit partition and, for the orbit seeded from
+    each key's canonical representative C, the changes fixing C: their g^-1
+    form Aut(C), which the closed forms are compared with. The pass computes
+    images from the closed-form transform over field tables; each element of
+    Aut(C) (C not E0) is then checked again through the generic product, and
+    a miss clears `aut_closed_form_ok`. Keys stay raw (label, parameters)
+    tuples until one `CanonicalKey` is made per distinct key.
 
     Flags:
       keys_vs_orbits_ok   every GL(2,q)-orbit has a constant key and holds
@@ -287,79 +299,74 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     else:
         raw_results = _phase1_chunk(desc, 0, total, max_witness_ext)
 
-    keys = []
-    witnesses_ok = True
-    for label, params, ok in raw_results:
-        keys.append(CanonicalKey(F, label, tuple(Fel(F, p) for p in params)))
-        witnesses_ok = witnesses_ok and ok
+    keys = [(label, params) for label, params, _ in raw_results]  # raw keys, index order
+    witnesses_ok = all(ok for _, _, ok in raw_results)
+    canon = {rk: CanonicalKey(F, rk[0], tuple(Fel(F, p) for p in rk[1])) for rk in set(keys)}
+    by_sort_key = lambda rk: canon[rk].sort_key()
 
     # phase 2: orbit partition of the evolution subset under the full group,
     # seeded from each key's canonical representative, then the rest in index
     # order
     tables = _tables(F)
     gl = _gl_table(F, tables)
-    key_by_abcd = {_abcd_of_index(q, idx): keys[idx] for idx in range(total)}
+    abcds = _abcds(q)
+    index_of = {abcd: idx for idx, abcd in enumerate(abcds)}
     assigned: set[tuple] = set()
-    orbits: list[tuple] = []  # (members, key)
-    aut_of: dict[CanonicalKey, set] = {}
+    orbits: list[tuple] = []  # (members, raw key)
+    aut_of: dict[tuple, list] = {}  # raw key -> raw g^-1 fixing its representative
     shared = False  # some canonical representative lies in an earlier seed's orbit
-    for k in sorted(set(keys), key=lambda kk: kk.sort_key()):
-        C = canonical_msc(k).abcd
-        members, stab = _orbit_raw(tables, gl, C)
-        aut_of[k] = {Mat2(F, m) for m in stab}
+    for rk in sorted(canon, key=by_sort_key):
+        C = canonical_msc(canon[rk]).abcd
+        members, aut_of[rk] = _orbit_raw(tables, gl, C)
         if C in assigned:
             shared = True
             continue
-        orbits.append((members, k))
+        orbits.append((members, rk))
         assigned |= members
-    for idx in range(total):
-        abcd = _abcd_of_index(q, idx)
+    for abcd in abcds:
         if abcd not in assigned:
             members = _orbit_raw(tables, gl, abcd)[0]
-            orbits.append((members, key_by_abcd[abcd]))
+            orbits.append((members, keys[index_of[abcd]]))
             assigned |= members
     keys_vs_orbits_ok = (
         not shared
         and len(assigned) == sum(len(members) for members, _ in orbits) == total
-        and all(key_by_abcd[m] == k for members, k in orbits for m in members)
+        and all(keys[index_of[m]] == rk for members, rk in orbits for m in members)
     )
 
     # phase 3: per-key aggregation, each orbit represented by its smallest
     # member in index order, and oracle comparisons
-    index_of = lambda abcd: sum(v * q**i for i, v in enumerate(abcd))
-    reps = sorted((min(map(index_of, members)), len(members), k) for members, k in orbits)
-    by_key: dict[CanonicalKey, dict] = {}
-    for rep, size, k in reps:
-        slot = by_key.setdefault(k, {"reps": [], "size": 0})
+    reps = sorted((min(map(index_of.__getitem__, members)), len(members), rk) for members, rk in orbits)
+    by_key: dict[tuple, dict] = {}
+    for rep, size, rk in reps:
+        slot = by_key.setdefault(rk, {"reps": [], "size": 0})
         slot["reps"].append(rep)
         slot["size"] += size
 
     aut_ok = True
     der_ok = True
     records = []
-    for k in sorted(by_key, key=lambda kk: kk.sort_key()):
+    for rk in sorted(by_key, key=by_sort_key):
+        k = canon[rk]
         C = canonical_msc(k)
         solved = der_solve(C)
-        der_scan = brute_der(C, F)
-        span = _span_matrices(F, solved)
-        if set(der_scan) != span:
+        if _der_scan_raw(C, tables) != sorted(_span_raw(tables, solved.vectors())):
             der_ok = False
+        stab = set(aut_of[rk])
         if k.label != "E0":
             inst = aut_instantiate(aut_closed_form(k, F), F)
             # the stabilizer against the closed forms, and again through the
             # generic product
-            if set(inst) != aut_of[k] or not all(aut_check(C, m) for m in aut_of[k]):
+            if {m.e for m in inst} != stab or not all(aut_check(C, Mat2(F, m)) for m in stab):
                 aut_ok = False
             if der_closed_form(k, F) != solved:
                 der_ok = False
         records.append(
             CensusRecord(
                 key=k,
-                orbit_representatives=tuple(
-                    EvolutionMsc(F, _abcd_of_index(q, rep)) for rep in by_key[k]["reps"]
-                ),
-                orbit_size_in_evolution_subset=by_key[k]["size"],
-                brute_aut_order=len(aut_of[k]),
+                orbit_representatives=tuple(EvolutionMsc(F, abcds[rep]) for rep in by_key[rk]["reps"]),
+                orbit_size_in_evolution_subset=by_key[rk]["size"],
+                brute_aut_order=len(stab),
                 der_dim=solved.dim,
             )
         )
@@ -372,7 +379,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     }
     return CensusReport(
         field=F,
-        gl2_order=len(gl),
+        gl2_order=(q - 1) * len(gl),
         total_evolution_msc=total,
         max_witness_ext=max_witness_ext,
         records=tuple(records),
@@ -380,17 +387,10 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     )
 
 
-def _span_matrices(f: FieldCtx, basis) -> set:
-    """All field-linear combinations of a derivation basis, as matrices."""
-    vecs = basis.vectors()
-    if not vecs:
-        return {Mat2(f, ((f.zero, f.zero), (f.zero, f.zero)))}
-    out = set()
-    for coeffs in itertools.product(range(f.order), repeat=len(vecs)):
-        acc = [f.zero] * 4
-        for c, v in zip(coeffs, vecs):
-            if c != f.zero:
-                for i in range(4):
-                    acc[i] = f.add(acc[i], f.mul(c, v[i]))
-        out.add(Mat2(f, ((acc[0], acc[1]), (acc[2], acc[3]))))
-    return out
+def _span_raw(tables, vecs) -> set:
+    """All field-linear combinations of raw (x, y, z, t) vectors."""
+    add, _, mul = tables
+    span = {(0, 0, 0, 0)}
+    for v in vecs:
+        span = {tuple(add[a][mc[b]] for a, b in zip(s, v)) for s in span for mc in mul}
+    return span

@@ -410,6 +410,19 @@ class TestAut:
             matrix_to_json(Mat2.swap(F)),
         ]
 
+    def test_e3_over_gf_2_61_builds_no_embedding_root(self):
+        # the cube roots of unity lie in GF(4) and x^2 + x + 1 has prime-field
+        # coefficients, so the GF(2^61) -> GF(2^122) embedding never needs
+        # the image of the generator; a fresh process keeps the caches cold
+        alg = json.dumps({"field": {"kind": "GF", "p": 2, "k": 61}, "msc": [0, 1, 1, 0]})
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "evoalg", "aut", "-a", alg], capture_output=True, text=True, timeout=60
+        )
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["order_over_field"] == 2
+
     def test_zero_algebra_rejected(self, capsys):
         code, _, err = invoke(
             capsys, "aut", "-a", '{"field":{"kind":"Q"},"msc":["0","0","0","0"]}'

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoalg import (
     GF,
@@ -21,9 +23,10 @@ from evoalg import (
     der_solve,
     lie_bracket,
 )
+from evoalg.derivations import _der_residual_raw, _unit_residuals
 from evoalg.oracle import brute_der
 
-from conftest import F2, F3, F4, F5, F7, F9
+from conftest import F2, F3, F4, F5, F7, F9, big_fraction_st
 from test_autgroup import all_keys
 
 
@@ -292,3 +295,56 @@ class TestBruteOracle:
             got = {tuple(v for row in D.e for v in row) for D in brute_der(E, field)}
             assert got == span_raws(field, solved), rows
             assert all(der_check(E, D) for D in solved.basis), rows
+
+
+def sparse_msc_st(field):
+    """General (non-evolution) 2x4 structure constants, about a third of the
+    entries zero so that some derivation algebras are not trivial; over Q the
+    heights reach 10^400."""
+    if field.order is None:
+        entry = big_fraction_st()
+    else:
+        entry = st.integers(0, field.order - 1)
+    entry = st.one_of(st.just(field.zero), entry, entry)
+    return st.tuples(*[entry] * 8).map(lambda t: Msc(field, (t[:4], t[4:])))
+
+
+class TestUnitResidualsClosedForm:
+    """The closed-form unit residuals against `_der_residual_raw`, the
+    definition that `der_check` evaluates."""
+
+    UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+    @pytest.mark.parametrize("field", [QQ, F7, F9])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equal_the_definition_at_each_unit(self, field, data):
+        E = data.draw(sparse_msc_st(field))
+        want = tuple(
+            tuple(v for row in _der_residual_raw(E, Mat2.of(field, (u[:2], u[2:])).e) for v in row)
+            for u in self.UNITS
+        )
+        assert _unit_residuals(E) == want
+
+    @pytest.mark.parametrize("field", [QQ, F7, F9])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_combination_vanishes_exactly_for_derivations(self, field, data):
+        # D is either arbitrary or drawn from the solved algebra, so both
+        # outcomes occur
+        E = data.draw(sparse_msc_st(field))
+        coeff = big_fraction_st() if field.order is None else st.integers(0, field.order - 1)
+        solved = der_solve(E)
+        if solved.dim and data.draw(st.booleans()):
+            cs = [field.coerce(data.draw(coeff)) for _ in solved.basis]
+            D = tuple(field.zero for _ in range(4))
+            for c, v in zip(cs, solved.vectors()):
+                D = tuple(field.add(d, field.mul(c, w)) for d, w in zip(D, v))
+        else:
+            D = tuple(field.coerce(data.draw(coeff)) for _ in range(4))
+        f = field
+        combo = [f.zero] * 8
+        for c, R in zip(D, _unit_residuals(E)):
+            combo = [f.add(acc, f.mul(c, r)) for acc, r in zip(combo, R)]
+        vanishes = all(v == f.zero for v in combo)
+        assert vanishes == der_check(E, Mat2(f, (D[:2], D[2:])))

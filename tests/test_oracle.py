@@ -10,6 +10,7 @@ import pytest
 from evoalg import (
     GF,
     QQ,
+    BasisChange,
     BudgetExceeded,
     CanonicalKey,
     EvolutionMsc,
@@ -158,27 +159,62 @@ class TestBruteDer:
         got = brute_der(canonical_msc(CanonicalKey(F3, "E6")), F3)
         assert len(got) == 9  # dimension 2
 
+    def test_zero_algebra_all_matrices_in_product_order(self):
+        got = brute_der(canonical_msc(CanonicalKey(F3, "E0")), F3)
+        assert [D.e for D in got] == [(m[:2], m[2:]) for m in itertools.product(range(3), repeat=4)]
+
     def test_e5_gf4_four_matrices(self):
         got = brute_der(canonical_msc(CanonicalKey(F4, "E5")), F4)
         assert len(got) == 4  # dimension 1
 
 
+def scaled(field, m, mu):
+    """The raw 2x2 entries m times the raw scalar mu."""
+    return tuple(tuple(field.mul(mu, v) for v in r) for r in m)
+
+
+class TestScalarClassTable:
+    """The census group table keeps one g^-1 per scalar class."""
+
+    FIELDS = [F2, F3, F4, F5, F7, GF(2, 3), GF(3, 2)]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_one_row_per_scalar_class(self, field):
+        q = field.order
+        rows = [r[:4] for r in oracle._gl_table(field, oracle._tables(field))]
+        assert len(rows) == q * (q * q - 1)
+        assert all((x1 or e1) == 1 for x1, e1, _, _ in rows)
+        found = set()
+        for row in rows:
+            for mu in range(1, q):
+                g = scaled(field, (row[:2], row[2:]), mu)
+                assert g not in found, g  # at most one (row, mu) per element
+                found.add(g)
+        assert found == set(oracle._gl2_raw(field))
+
+
 class TestOrbitKernel:
-    """The census orbit kernel, run on a one-element group table, against the
-    generic transform."""
+    """The census orbit kernel, run on the class row of one change, against
+    the generic transform under every scalar multiple of that change."""
 
     def check(self, field, g, abcds):
         tables = oracle._tables(field)
-        gl = [row for row in oracle._gl_table(field, tables) if row[-1] == g.ginv.e]
+        (x1, e1), _ = g.ginv.e
+        lead = field.inv(x1 or e1)  # scales g^-1 to its class row
+        row = scaled(field, g.ginv.e, lead)
+        gl = [r for r in oracle._gl_table(field, tables) if ((r[0], r[1]), (r[2], r[3])) == row]
         assert len(gl) == 1
+        changes = [BasisChange(Mat2(field, scaled(field, row, mu))) for mu in range(1, field.order)]
         for abcd in abcds:
             E = EvolutionMsc(field, abcd)
-            image = transform(E, g)
+            images = [transform(E, h) for h in changes]
             members, stab = oracle._orbit_raw(tables, gl, abcd)
-            if is_evolution(image):
-                assert members == {image.to_evolution().abcd}
-                assert stab == ([g.ginv.e] if image == E else [])
+            if is_evolution(images[0]):
+                assert all(is_evolution(im) for im in images)
+                assert members == {im.to_evolution().abcd for im in images}
+                assert stab == [h.ginv.e for h, im in zip(changes, images) if im == E]
             else:
+                assert not any(is_evolution(im) for im in images)
                 assert members == set() and stab == []
 
     def test_every_change_and_algebra_gf3(self):
