@@ -40,9 +40,9 @@ def main() -> int:
     last = None
     for q in args.fields:
         F = field_of(q)
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = census(F, max_witness_ext=args.max_ext, jobs=args.jobs)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         status = "ok" if rep.ok else "FLAGS FALSE"
         print(
             f"{F!r:10} {dt:7.2f}s  msc={rep.total_evolution_msc:6d} "

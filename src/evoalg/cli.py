@@ -225,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="orbit census with brute-force cross-checks")
     p.add_argument("--field", required=True, help="field descriptor JSON (path or inline)")
     p.add_argument("--max-ext", type=int, default=6, help="witness extension budget")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most the CPU count)")
+    p.add_argument("--jobs", type=int, default=1, help="processes, this one included (at most the CPU count)")
     p.add_argument("--csv", help="also write a CSV summary to this path")
     p.set_defaults(fn=_cmd_census)
 

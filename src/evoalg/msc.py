@@ -330,6 +330,29 @@ class TransformedEntries:
         )
 
 
+def transform_evolution_raw(f: FieldCtx, abcd, ginv) -> tuple:
+    """Raw (a1, a2, a4, b1, b2, b4) of the image of the evolution algebra with
+    raw entries `abcd` under the change with raw g^-1 entries `ginv`,
+    evaluated from the direct closed forms in the entries of g^-1."""
+    a, b, c, d = abcd
+    (x1, e1), (x2, e2) = ginv
+    add, sub, mul = f.add, f.sub, f.mul
+    di = f.inv(sub(mul(x1, e2), mul(x2, e1)))  # 1/delta
+    u1 = sub(mul(a, e2), mul(c, e1))  # a*eta2 - c*eta1
+    u2 = sub(mul(b, e2), mul(d, e1))  # b*eta2 - d*eta1
+    v1 = sub(mul(c, x1), mul(a, x2))  # -a*xi2 + c*xi1
+    v2 = sub(mul(d, x1), mul(b, x2))  # -b*xi2 + d*xi1
+    xx1, xx2, xe1, xe2 = mul(x1, x1), mul(x2, x2), mul(x1, e1), mul(x2, e2)
+    ee1, ee2 = mul(e1, e1), mul(e2, e2)
+    a1 = mul(di, add(mul(xx1, u1), mul(xx2, u2)))
+    a2 = mul(di, add(mul(xe1, u1), mul(xe2, u2)))
+    a4 = mul(di, add(mul(ee1, u1), mul(ee2, u2)))
+    b1 = mul(di, add(mul(xx1, v1), mul(xx2, v2)))
+    b2 = mul(di, add(mul(xe1, v1), mul(xe2, v2)))
+    b4 = mul(di, add(mul(ee1, v1), mul(ee2, v2)))
+    return a1, a2, a4, b1, b2, b4
+
+
 def transform_evolution(E: EvolutionMsc, change: BasisChange) -> TransformedEntries:
     """Transformed entries of an evolution algebra, evaluated from the direct
     closed forms in the entries of g^-1 (not via the generic matrix product;
@@ -337,20 +360,4 @@ def transform_evolution(E: EvolutionMsc, change: BasisChange) -> TransformedEntr
     f = E.field
     if change.field is not f:
         raise MixedFields("structure constants and basis change over different fields")
-    a, b, c, d = E.abcd
-    (x1, e1), (x2, e2) = change.ginv.e
-    add, sub, mul = f.add, f.sub, f.mul
-    delta = sub(mul(x1, e2), mul(x2, e1))
-    di = f.inv(delta)
-    u1 = sub(mul(a, e2), mul(c, e1))  # a*eta2 - c*eta1
-    u2 = sub(mul(b, e2), mul(d, e1))  # b*eta2 - d*eta1
-    v1 = sub(mul(c, x1), mul(a, x2))  # -a*xi2 + c*xi1
-    v2 = sub(mul(d, x1), mul(b, x2))  # -b*xi2 + d*xi1
-    a1 = mul(di, add(mul(mul(x1, x1), u1), mul(mul(x2, x2), u2)))
-    a2 = mul(di, add(mul(mul(x1, e1), u1), mul(mul(x2, e2), u2)))
-    a4 = mul(di, add(mul(mul(e1, e1), u1), mul(mul(e2, e2), u2)))
-    b1 = mul(di, add(mul(mul(x1, x1), v1), mul(mul(x2, x2), v2)))
-    b2 = mul(di, add(mul(mul(x1, e1), v1), mul(mul(x2, e2), v2)))
-    b4 = mul(di, add(mul(mul(e1, e1), v1), mul(mul(e2, e2), v2)))
-    w = lambda r: Fel(f, r)
-    return TransformedEntries(w(a1), w(a2), w(a4), w(b1), w(b2), w(b4))
+    return TransformedEntries(*(Fel(f, r) for r in transform_evolution_raw(f, E.abcd, change.ginv.e)))

@@ -18,7 +18,9 @@ nonzero, and scales each image that survives by the q - 1 units. The
 derivation scan solves the derivation condition, which is linear in the
 matrix, as a table lookup per (x, y, z), one per scalar class. Every
 stabilizer element is checked again through `aut_check`, the generic
-product, so the oracle does not rest on the closed forms alone.
+product, so the oracle does not rest on the closed forms alone. Witnesses
+are checked by the closed forms on raw entries, and once per witness field
+and key through the generic `transform`.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from .autgroup import aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, canonical_msc, classify
 from .derivations import _unit_residuals, der_solve, der_closed_form
-from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed, field_make
-from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform
+from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed
+from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform, transform_evolution_raw
 
 _GL_MAX_ORDER = 32  # enumeration scans q^4 matrices
 _CENSUS_MAX_ORDER = 16
@@ -164,31 +166,77 @@ def _abcds(q: int) -> list:
     return [v[::-1] for v in itertools.product(range(q), repeat=4)]
 
 
-def _verify_witness(E: EvolutionMsc, res, max_ext: int):
-    """Witness transported onto the canonical representative, within the
-    allowed extension degree. Returns (ok, extension degree)."""
-    F = E.field
-    if res.witness is None:
-        return False, None
-    K = res.witness_field
-    ext_deg = K.k // F.k
-    if ext_deg > max_ext:
-        return False, ext_deg
-    # the canonical representative over F, carried to K, is the one over K
-    emb = embed(F, K)
-    return transform(E.over(emb), res.witness) == canonical_msc(res.key).over(emb), ext_deg
+def _verify_witness(E: EvolutionMsc, res, rk: tuple, max_ext: int, targets: dict) -> bool:
+    """The witness of res = classify(E), raw key rk, lands on the canonical
+    form within the allowed extension degree, by the closed forms on raw
+    entries. `targets` maps (witness field K, rk) to the embedding into K and
+    the raw image due there; the first algebra of each is also checked
+    through the generic `transform`."""
+    F, K = E.field, res.witness_field
+    if res.witness is None or K.k // F.k > max_ext:
+        return False
+    if (K, rk) not in targets:
+        emb = embed(F, K)
+        # the canonical representative over F, carried to K, is the one over K
+        C = canonical_msc(res.key).over(emb)
+        targets[K, rk] = emb, tuple(row[j] for row in C.rows for j in (0, 1, 3))
+        if transform(E.over(emb), res.witness) != C:
+            return False
+    emb, target = targets[K, rk]
+    return transform_evolution_raw(K, tuple(map(emb.raw, E.abcd)), res.witness.ginv.e) == target
 
 
-def _phase1_chunk(desc: dict, lo: int, hi: int, max_ext: int):
-    """Classify and witness-check the evolution algebras with indices
+def _phase1_chunk(F: FieldCtx, lo: int, hi: int, max_ext: int):
+    """Classify and witness-check the evolution algebras over F with indices
     [lo, hi); returns plain picklable tuples."""
-    F = field_make(desc)
+    targets: dict = {}
     out = []
     for abcd in _abcds(F.order)[lo:hi]:
         E = EvolutionMsc(F, abcd)
         res = classify(E)
-        ok, _ = _verify_witness(E, res, max_ext)
-        out.append((res.key.label, tuple(p.raw for p in res.key.params), ok))
+        rk = (res.key.label, tuple(p.raw for p in res.key.params))
+        out.append((*rk, _verify_witness(E, res, rk, max_ext, targets)))
+    return out
+
+
+def _phase1_child(conn, *chunk):
+    """Forked side of `_phase1`: sends one chunk, or its exception, over `conn`."""
+    try:
+        conn.send(_phase1_chunk(*chunk))
+    except Exception as e:
+        conn.send(e)
+
+
+def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> list:
+    """`_phase1_chunk` over all `total` algebras in `jobs` chunks: the first
+    in this process, one in each of `jobs - 1` forked children. Every pipe is
+    read before any join, and a child's exception is raised here."""
+    if jobs == 1:
+        return _phase1_chunk(F, 0, total, max_ext)
+    from multiprocessing import get_context  # imported only where a census forks
+
+    ctx, children = get_context("fork"), []
+    try:
+        for w in range(1, jobs):
+            recv, send = ctx.Pipe(duplex=False)
+            args = (send, F, total * w // jobs, total * (w + 1) // jobs, max_ext)
+            proc = ctx.Process(target=_phase1_child, args=args, daemon=True)
+            proc.start()
+            children.append((proc, recv))
+            send.close()
+        out = _phase1_chunk(F, 0, total // jobs, max_ext)
+        sent = [recv.recv() for _, recv in children]
+    finally:
+        # a child has nothing left to do once its chunk is read, and none
+        # outlives the call, also when this process's own chunk raised
+        for proc, recv in children:
+            recv.close()
+            proc.terminate()
+            proc.join()
+    for chunk in sent:
+        if isinstance(chunk, Exception):
+            raise chunk
+        out += chunk
     return out
 
 
@@ -267,14 +315,16 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
       keys_vs_orbits_ok   every GL(2,q)-orbit has a constant key and holds
                           the canonical representative of no other key
       witnesses_ok        every witness lands exactly on its canonical form
-                          within the allowed extension degree
+                          within the allowed extension degree, by the
+                          closed forms and, once per witness field and
+                          key, by the generic product
       aut_closed_form_ok  instantiated closed forms match the stabilizers
                           found in the orbit pass, and the generic product
                           fixes C under each of them
       der_closed_form_ok  solver, closed forms and derivation scans agree
 
-    The result is deterministic and independent of `jobs`, of which at most
-    the CPU count are used.
+    `jobs` counts the processes, this one included, clamped to [1, CPU
+    count]; the result is deterministic and independent of it.
     """
     if field.order is None:
         raise InfiniteField("census needs a finite field")
@@ -283,21 +333,10 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
         raise BudgetExceeded(f"census over {field} refused (order {q} > {_CENSUS_MAX_ORDER})")
     F = field
     total = q**4
-    desc = F.descriptor()
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
 
-    # phase 1: classify + witness verification, partitionable over workers
-    if jobs > 1:
-        from multiprocessing import get_context  # imported only where a census forks
-
-        bounds = [(total * w // jobs, total * (w + 1) // jobs) for w in range(jobs)]
-        with get_context("fork").Pool(jobs) as pool:
-            chunks = pool.starmap(
-                _phase1_chunk, [(desc, lo, hi, max_witness_ext) for lo, hi in bounds]
-            )
-        raw_results = [r for chunk in chunks for r in chunk]
-    else:
-        raw_results = _phase1_chunk(desc, 0, total, max_witness_ext)
+    # phase 1: classify + witness verification, partitionable over processes
+    raw_results = _phase1(F, total, jobs, max_witness_ext)
 
     keys = [(label, params) for label, params, _ in raw_results]  # raw keys, index order
     witnesses_ok = all(ok for _, _, ok in raw_results)

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,10 @@ from evoalg.derivations import der_check
 from evoalg.serialize import census_to_csv, census_to_json, dumps
 
 from conftest import F2, F3, F4, F5, F7
+
+
+class ChunkFailure(RuntimeError):
+    """Raised on purpose inside a census chunk."""
 
 
 class TestGL2:
@@ -297,36 +303,74 @@ class TestCensus:
         assert dumps(census_to_json(census(F, jobs=2))) == golden
 
     def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
-        # a fake pool records the worker count asked for and runs the chunks
+        # a fake context records the children started and runs their chunks
         # in this process, so no large jobs value ever reaches the OS
         import multiprocessing
 
-        asked = []
+        started = []
 
-        class FakePool:
-            def __init__(self, n):
-                asked.append(n)
+        class FakeProcess:
+            def __init__(self, target, args, daemon):
+                self.target, self.args = target, args
 
-            def __enter__(self):
-                return self
+            def start(self):
+                started.append(self)
+                self.target(*self.args)
 
-            def __exit__(self, *exc):
-                return False
+            def terminate(self):
+                pass
 
-            def starmap(self, fn, args):
-                return [fn(*a) for a in args]
+            def join(self):
+                pass
 
         class FakeContext:
-            Pool = FakePool
+            Process = FakeProcess
+            Pipe = staticmethod(multiprocessing.Pipe)
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         golden = (Path(__file__).parent / "data" / "census_gf3.json").read_text()
         assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
-        assert asked == [3]
+        assert len(started) == 2  # this process computes the first chunk
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
-        assert asked == [3]
+        assert len(started) == 2
+
+    def test_jobs_below_one_run_in_this_process(self):
+        golden = (Path(__file__).parent / "data" / "census_gf3.json").read_text()
+        assert dumps(census_to_json(census(F3, jobs=0))) == golden
+        assert dumps(census_to_json(census(F3, jobs=-3))) == golden
+
+    @pytest.mark.parametrize("failing,field", [("child", F5), ("caller", GF(11))])
+    def test_a_failing_chunk_raises_and_leaves_no_process(self, monkeypatch, failing, field):
+        # the caller computes the chunk starting at index 0, a forked child
+        # the other one; a child's exception comes back over its pipe, and
+        # when the caller's own chunk fails the child is stopped: its half of
+        # GF(11) is more than a pipe holds, so a child left to finish would
+        # block in send and the join would not return
+        import multiprocessing
+
+        chunk = oracle._phase1_chunk
+
+        def failing_chunk(F, lo, hi, max_ext):
+            if (lo == 0) == (failing == "caller"):
+                raise ChunkFailure(lo)
+            return chunk(F, lo, hi, max_ext)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("census did not return")
+
+        monkeypatch.setattr(oracle, "_phase1_chunk", failing_chunk)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ChunkFailure):
+                census(field, jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_shared_seed_orbit_clears_flags(self, monkeypatch):
         # every key seeded from one representative: the later seeds land in
@@ -360,6 +404,125 @@ class TestCensus:
         rep = census(F3, max_witness_ext=1)
         assert not rep.flags["witnesses_ok"]
         assert rep.flags["keys_vs_orbits_ok"]
+
+
+SHEARS = (((1, 1), (0, 1)), ((1, 0), (1, 1)))
+
+
+def after(res, ginv):
+    """res.witness followed by the change with raw g^-1 entries `ginv`."""
+    return res.witness.then(BasisChange(Mat2(res.witness_field, ginv)))
+
+
+def wrong_witnesses(res):
+    """Witnesses in the field of res.witness followed by a shear (images
+    mostly not in evolution form) or, in fields of order above 2, by the
+    scalar of raw encoding 2 (the image is a multiple of the canonical
+    form)."""
+    scalars = [((2, 0), (0, 2))] if res.witness_field.order > 2 else []
+    return [after(res, ginv) for ginv in SHEARS + tuple(scalars)]
+
+
+def raw_key(res):
+    return res.key.label, tuple(p.raw for p in res.key.params)
+
+
+class TestWitnessCheck:
+    """The census's witness check by the closed forms of
+    `transform_evolution_raw`, against a generic-`transform` check."""
+
+    def bad_witness_census(self, monkeypatch, field, pick, make_bad, last=True):
+        """Census of `field` in which classify gives the last (or first)
+        algebra, in index order, of which `pick(res)` holds the witness
+        `make_bad(res)`. Also returns that algebra's classification and the
+        generic image under the bad witness, with the canonical form it
+        should have been. An algebra that is not the first of its (witness
+        field, key) pair never goes through the generic spot check, so only
+        the closed forms can catch it."""
+        abcds = oracle._abcds(field.order)
+        ress = [classify(EvolutionMsc(field, abcd)) for abcd in abcds]
+        i = (max if last else min)(i for i, res in enumerate(ress) if pick(res))
+        first = min(j for j, res in enumerate(ress) if res.witness_field is ress[i].witness_field
+                    and raw_key(res) == raw_key(ress[i]))
+        assert (first < i) == last
+        bad = make_bad(ress[i])
+        real = oracle.classify
+
+        def wrong_classify(E):
+            res = real(E)
+            return dataclasses.replace(res, witness=bad) if E.abcd == abcds[i] else res
+
+        monkeypatch.setattr(oracle, "classify", wrong_classify)
+        E, res = EvolutionMsc(field, abcds[i]), ress[i]
+        emb = fields.embed(field, res.witness_field)
+        image = transform(E.over(emb), bad)
+        return census(field, 6), res, image, canonical_msc(res.key).over(emb)
+
+    def assert_only_witness_flag_cleared(self, rep):
+        assert not rep.flags["witnesses_ok"]
+        assert rep.flags["keys_vs_orbits_ok"]
+        assert rep.flags["aut_closed_form_ok"] and rep.flags["der_closed_form_ok"]
+
+    def test_wrong_witness_in_the_base_field(self, monkeypatch):
+        pick = lambda res: res.key.label == "E6" and res.witness_field is F3
+        scale = lambda res: after(res, ((2, 0), (0, 2)))
+        rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, scale)
+        assert is_evolution(image) and image != C
+        self.assert_only_witness_flag_cleared(rep)
+
+    def test_wrong_witness_in_an_extension(self, monkeypatch):
+        pick = lambda res: res.key.label == "E4" and res.witness_field is not F3
+        scale = lambda res: after(res, ((2, 0), (0, 2)))
+        rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, scale)
+        assert image.field.order == 9
+        assert is_evolution(image) and image != C
+        self.assert_only_witness_flag_cleared(rep)
+
+    def test_image_not_in_evolution_form(self, monkeypatch):
+        pick = lambda res: res.key.label == "E6" and res.witness_field is F3
+        shear = lambda res: after(res, SHEARS[1])
+        rep, _, image, _ = self.bad_witness_census(monkeypatch, F3, pick, shear)
+        assert not is_evolution(image)
+        self.assert_only_witness_flag_cleared(rep)
+
+    def test_spot_check_catches_wrong_closed_forms(self, monkeypatch):
+        # the first algebra of a pair gets a wrong witness, and the closed
+        # forms are made to evaluate its right witness in its place, so only
+        # the generic spot check can notice
+        pick = lambda res: res.key.label == "E6" and res.witness_field is F3
+        right_of = {}  # raw g^-1 of the wrong witness -> that of the right one
+
+        def bad(res):
+            w = after(res, SHEARS[1])
+            right_of[w.ginv.e] = res.witness.ginv.e
+            return w
+
+        evaluate = oracle.transform_evolution_raw
+        lying = lambda K, abcd, ginv: evaluate(K, abcd, right_of.get(ginv, ginv))
+        monkeypatch.setattr(oracle, "transform_evolution_raw", lying)
+        rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, bad, last=False)
+        assert image != C
+        self.assert_only_witness_flag_cleared(rep)
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F5])
+    def test_closed_forms_agree_with_the_generic_transform(self, field):
+        # the targets are made first, so each later call checks by the
+        # closed forms alone
+        targets: dict = {}
+        answers = set()
+        for abcd in oracle._abcds(field.order):
+            E = EvolutionMsc(field, abcd)
+            res = classify(E)
+            rk = raw_key(res)
+            assert oracle._verify_witness(E, res, rk, 6, targets)
+            emb = fields.embed(field, res.witness_field)
+            C = canonical_msc(res.key).over(emb)
+            for w in [res.witness] + wrong_witnesses(res):
+                wres = dataclasses.replace(res, witness=w)
+                generic = transform(E.over(emb), w) == C
+                assert oracle._verify_witness(E, wres, rk, 6, targets) == generic, (abcd, w)
+                answers.add(generic)
+        assert answers == {True, False}
 
 
 class TestRunCensusScript:
