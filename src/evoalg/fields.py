@@ -8,25 +8,26 @@ integer index of the coefficient vector, which GF(p) shares as its k = 1
 case (the residue in [0, p)). Element equality is equality of that encoding.
 There is no floating point anywhere.
 
-Extension fields are always single quotients GF(p)[x]/(m) with a monic
-irreducible modulus; towers are flattened into one extension of the prime
-field. Small fields (order <= 128) switch to full lookup tables on first
-use, which matters for the brute-force oracle's inner loops. An embedding
-keeps one root, the image of the source's generator, and carries a value by
-evaluating its coefficients there: no work proportional to the source order.
+Extension fields are single quotients GF(p)[x]/(m), m monic irreducible;
+towers are flattened into one extension of the prime field. One integer
+kernel does GF(p)[x] on base-p indices: over GF(2) the index is the packed
+polynomial (XOR, carry-less products), for odd p a product packs the digits
+into slots of one int. It is the arithmetic above order 128, fills the tables
+smaller fields switch to on first use, and runs Ben-Or's test, which proves
+moduli irreducible. An embedding keeps one root, the image of the source's
+generator, and evaluates coefficients there: no work in the source order.
 
 Roots over a finite field are the least root in canonical order. A field with
 tables is scanned element by element; in a larger one, the roots come from
-gcd(f, y^q - y) and Cantor-Zassenhaus equal-degree splitting, all of them,
-and the least is taken, so both give the same root. Moduli are proved
-irreducible by Ben-Or's test, which stops at the first nontrivial gcd, over
-GF(2) on polynomials packed into ints, and the default modulus is still the
-first irreducible in base-p scan order. Primality is deterministic
-Miller-Rabin with the prime bases up to 41, exact below 3.317e24; a p at or
-above that bound that no base proves composite is refused with FieldError.
-`field_make` checks each descriptor once, before its field is interned: p, k
-and the modulus coefficients must be ints, and k * ceil(log2 p) must stay
-within `_SIZE_BUDGET`, so building any field accepted takes bounded work.
+gcd(f, y^q - y), in the kernel when f lies over GF(p), and Cantor-Zassenhaus
+splitting, all of them, and the least is taken, so both give the same root.
+The default modulus is the first irreducible in base-p scan order. Primality
+is deterministic Miller-Rabin with the prime bases up to 41, exact below
+3.317e24; a p at or above that bound that no base proves composite is refused
+with FieldError. `field_make` checks each descriptor once, before its field
+is interned: p, k and the modulus coefficients must be ints, and
+k * ceil(log2 p) must stay within `_SIZE_BUDGET`, so building any field
+accepted takes bounded work.
 
 Root problems over finite fields and default moduli are solved once per
 process: `find_root` keeps a bounded cache keyed on (field, coefficients),
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 import re
 from fractions import Fraction
@@ -46,9 +46,8 @@ from typing import Iterator
 
 _TABLE_MAX = 128  # largest field order that gets full add/mul lookup tables
 _ROOT_CACHE_MAX = 2048  # finite-field root problems `find_root` remembers
-# largest k * ceil(log2 p) of a GF(p^k) descriptor; for p = 2 and 3 the slowest
-# default modulus it admits, GF(3^116), takes about 2 s on 2 cores (the README
-# has the figures for other p)
+# largest k * ceil(log2 p) of a GF(p^k) descriptor; the slowest default modulus
+# it admits, GF(61^41), takes about 4 s on 2 cores (the README has the sweep)
 _SIZE_BUDGET = 256
 
 
@@ -132,10 +131,168 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the integer kernel: polynomials over GF(p) as their base-p indices
+# ---------------------------------------------------------------------------
+
+def _digits(a: int, p: int) -> list:
+    """Coefficients of the polynomial with index a, low degree first."""
+    cs = []
+    while a:
+        a, c = divmod(a, p)
+        cs.append(c)
+    return cs
+
+
+def _index(cs, p: int) -> int:
+    """Index of the polynomial with integer coefficients cs, reduced mod p."""
+    a = 0
+    for c in reversed(cs):
+        a = a * p + c % p
+    return a
+
+
+def _px_add(p: int, s: int, a: int, b: int) -> int:
+    """a + s b for s = 1 or -1."""
+    if p == 2:
+        return a ^ b
+    r, pw = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        r += (x + s * y) % p * pw
+        pw *= p
+    return r
+
+
+def _pack(a: int, p: int, w: int) -> int:
+    """The digits of a in slots of w bits."""
+    packed = shift = 0
+    while a:
+        a, c = divmod(a, p)
+        packed |= c << shift
+        shift += w
+    return packed
+
+
+def _unpack(packed: int, n: int, p: int, w: int, base: int) -> int:
+    """The low n slots of packed, reduced mod p, as digits in base p or 2^w."""
+    mask, a = (1 << w) - 1, 0
+    for i in range(n - 1, -1, -1):
+        a = a * base + (packed >> i * w & mask) % p
+    return a
+
+
+def _gf2_rem(a: int, b: int) -> int:
+    """a mod b != 0 over GF(2)."""
+    db = b.bit_length()
+    while (shift := a.bit_length() - db) >= 0:
+        a ^= b << shift
+    return a
+
+
+def _divmod_digits(a: list, b: list, p: int) -> tuple:
+    """Quotient and remainder (reduced, trimmed) of the lists a by b; a is consumed."""
+    db, inv = len(b) - 1, pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = a[shift + db] * inv % p
+        if c:
+            for j in range(db):
+                a[shift + j] -= c * b[j]
+    r = [c % p for c in a[:db]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _px_gcd(a: int, b: int, p: int) -> int:
+    """Monic gcd of a and b, not both zero."""
+    if p == 2:
+        while b:
+            a, b = b, _gf2_rem(a, b)
+        return a
+    a, b = _digits(a, p), _digits(b, p)
+    while b:
+        a, b = b, _divmod_digits(a, b, p)[1]
+    s = pow(a[-1], -1, p)
+    return _index([c * s for c in a], p)
+
+
+class _PolyMod:
+    """GF(p)[x] modulo a monic m of degree k >= 1, irreducible or not, on
+    indices below p^k. For odd p a product a b is reduced by Barrett's method
+    over Z[x] (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1): its
+    quotient by m is q = ((a b div x^k) mu) div x^(k-1), mu = x^(2k-1) div m,
+    and a b + q m' agrees mod p with the remainder, m' = -(m - x^k) mod p.
+    No coefficient on the way is negative or reaches 2^w, so no slot carries."""
+
+    def __init__(self, p: int, m):
+        k = len(m) - 1
+        self.p, self.k, self.m = p, k, _index(m, p)
+        if p != 2:
+            self._w = w = (k**3 * p**4).bit_length() + 1
+            mu = _divmod_digits([0] * (2 * k - 1) + [1], list(m), p)[0]
+            self._mu, self._m_neg = (_pack(_index(c, p), p, w) for c in (mu, [-c for c in m[:-1]]))
+
+    def mul(self, a, b):
+        if self.p == 2:  # carry-less: one shifted copy of a per bit of b
+            r = 0
+            while b:
+                low = b & -b
+                r ^= a * low
+                b ^= low
+            return _gf2_rem(r, self.m)
+        p, w = self.p, self._w
+        return self._mul_packed(_pack(a, p, w), _pack(b, p, w), p)
+
+    def _mul_packed(self, a, b, base):
+        k, w = self.k, self._w
+        prod = a * b
+        if high := prod >> k * w:
+            prod += ((high * self._mu) >> (k - 1) * w) * self._m_neg
+        return _unpack(prod, k, self.p, w, base)
+
+    def pow(self, a, n: int):
+        """a^n for n >= 1, by squaring and multiplying. Over GF(2) a square
+        spreads the bits apart; for odd p the powers stay packed."""
+        p, acc = self.p, a
+        if p == 2:
+            for bit in bin(n)[3:]:
+                acc = _gf2_rem(int("0".join(format(acc, "b")), 2), self.m)
+                if bit == "1":
+                    acc = self.mul(acc, a)
+            return acc
+        w = self._w
+        a = acc = _pack(a, p, w)
+        for bit in bin(n)[3:]:
+            acc = self._mul_packed(acc, acc, 1 << w)
+            if bit == "1":
+                acc = self._mul_packed(acc, a, 1 << w)
+        return _unpack(acc, self.k, p, w, p)
+
+
+def _pf_is_irreducible(m, f) -> bool:
+    """Ben-Or's test for a monic m of degree k over the prime field f = GF(p):
+    m is irreducible iff gcd(x^(p^i) - x, m) = 1 for i = 1 .. k/2, since a
+    reducible m has an irreducible factor of degree i <= k/2, and that factor
+    divides x^(p^i) - x. The powers come one Frobenius step at a time, and the
+    test stops at the first nontrivial gcd, which a random reducible m
+    reaches at a small i."""
+    k, p = len(m) - 1, f.p
+    if k < 1 or k > 1 and m[0] == 0:
+        return False  # a constant, or x divides m
+    ring, h = _PolyMod(p, m), p  # p is the index of x
+    for _ in range(k // 2):
+        h = ring.pow(h, p)
+        if _px_gcd(ring.m, _px_add(p, -1, h, p), p) != 1:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # polynomials over a finite field as trimmed tuples of raw coefficients, low
-# degree first; the field context `f` does the coefficient arithmetic. One
-# toolkit serves Ben-Or's test over GF(p), p odd, inversion in GF(p^k) and
-# root finding over any finite field.
+# degree first; the field context `f` does the coefficient arithmetic. They
+# serve root finding over extension fields (Cantor-Zassenhaus).
 # ---------------------------------------------------------------------------
 
 def _poly_trim(cs) -> tuple:
@@ -217,66 +374,6 @@ def _poly_powmod(a, n: int, m, f) -> tuple:
     return acc
 
 
-def _poly_inverse(a, m, f) -> tuple:
-    """Inverse of a modulo m, via the extended Euclidean algorithm."""
-    r0, r1 = _poly_trim(m), _poly_rem(a, m, f)
-    if not r1:
-        raise ZeroDivisionError("inverting zero polynomial class")
-    t0, t1 = (), (f.one,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, f)
-        r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, f), f)
-    # r0 is the gcd, a nonzero constant since m is irreducible
-    s = f.inv(r0[0])
-    return tuple(f.mul(c, s) for c in t0)
-
-
-def _gf2_rem(a: int, b: int) -> int:
-    """a mod b != 0 in GF(2)[x], polynomials packed into ints (bit i is the
-    coefficient of x^i)."""
-    db = b.bit_length()
-    while (shift := a.bit_length() - db) >= 0:
-        a ^= b << shift
-    return a
-
-
-def _gf2_is_irreducible(m: int) -> bool:
-    """Ben-Or's test for the packed m = x^k + ... over GF(2) with a constant
-    term: squaring h spreads its bits apart."""
-    h = 0b10  # x
-    for _ in range((m.bit_length() - 1) // 2):
-        h = _gf2_rem(int("0".join(format(h, "b")), 2), m)
-        a, b = m, h ^ 0b10
-        while b:
-            a, b = b, _gf2_rem(a, b)
-        if a != 1:
-            return False
-    return True
-
-
-def _pf_is_irreducible(m, f) -> bool:
-    """Ben-Or's test for a monic m of degree k over the prime field f = GF(p):
-    m is irreducible iff gcd(x^(p^i) - x, m) = 1 for i = 1 .. k/2, since a
-    reducible m has an irreducible factor of degree i <= k/2, and that factor
-    divides x^(p^i) - x. The powers come one Frobenius step at a time, and the
-    test stops at the first nontrivial gcd, which a random reducible m
-    reaches at a small i. Over GF(2) it runs on packed ints."""
-    k = len(m) - 1
-    if k < 1:
-        return False
-    if k > 1 and m[0] == 0:
-        return False  # x divides m
-    if f.p == 2:
-        return _gf2_is_irreducible(int("".join(map(str, reversed(m))), 2))
-    x = h = (0, 1)
-    for _ in range(k // 2):
-        h = _poly_powmod(h, f.p, m, f)
-        if len(_poly_gcd(m, _poly_sub(h, x, f), f)) > 1:
-            return False
-    return True
-
-
 def _first_irreducible(p: int, k: int) -> tuple:
     """First monic irreducible of degree k over GF(p), scanning constant parts
     in base-p counting order. Deterministic across runs.
@@ -292,11 +389,8 @@ def _first_irreducible(p: int, k: int) -> tuple:
         rest //= d
     start = 0 if rest == 1 and (k % 4 or p % 4 == 1) else p
     for idx in range(start, p**k):
-        lows, i = [], idx
-        for _ in range(k):
-            i, r = divmod(i, p)
-            lows.append(r)
-        m = (*lows, 1)
+        lows = _digits(idx, p)
+        m = (*lows, *[0] * (k - len(lows)), 1)
         if _pf_is_irreducible(m, f):
             return m
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
@@ -518,14 +612,6 @@ class _FiniteField(FieldCtx):
         self.p = self.char = p
         self.k = k
         self.order = p**k
-        self._pows = tuple(p**i for i in range(k))
-
-    def _coeffs(self, i: int) -> list:
-        p = self.p
-        return [i // pw % p for pw in self._pows]
-
-    def _index(self, cs) -> int:
-        return sum(map(operator.mul, cs, self._pows))
 
     def _residue(self, x) -> int:
         """The image in GF(p) of an integer, a rational or its string."""
@@ -547,14 +633,15 @@ class _FiniteField(FieldCtx):
         if isinstance(x, (list, tuple)):
             if len(x) > self.k:
                 raise FieldError(f"coefficient vector {x!r} too long for {self}")
-            return self._index([self._residue(c) for c in x])
+            return _index([self._residue(c) for c in x], self.p)
         return self._residue(x)  # constants embed as degree-0 vectors
 
     def elements(self):
         return (Fel(self, i) for i in range(self.order))
 
     def text(self, raw) -> list:
-        return self._coeffs(raw)
+        cs = _digits(raw, self.p)
+        return cs + [0] * (self.k - len(cs))
 
     def parse(self, obj) -> int:
         if isinstance(obj, list):
@@ -605,91 +692,44 @@ class PrimeField(_FiniteField):
 
 class ExtensionField(_FiniteField):
     """GF(p^k) = GF(p)[x]/(modulus), k >= 2. `field_make` checks the modulus
-    (monic, irreducible, over the prime field `base`) before it gets here."""
+    (monic, irreducible, over the prime field) before it gets here."""
 
     def __init__(self, base: PrimeField, modulus: tuple):
         super().__init__(base.p, len(modulus) - 1)
-        self._base = base
         self.modulus = modulus
         self._key = ("GF", self.p, self.k, modulus)
-        self._add_t = self._mul_t = self._neg_t = self._inv_t = None
+        self._ring = ring = _PolyMod(self.p, modulus)
+        if self.order > _TABLE_MAX:  # no tables: the kernel's ops are the field's own
+            self.add, self.sub = (functools.partial(_px_add, self.p, s) for s in (1, -1))
+            self.neg, self.mul = functools.partial(_px_add, self.p, -1, 0), ring.mul
 
-    # -- table management
-
-    def _build_tables(self):
-        q = self.order
-        self._add_t = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        self._mul_t = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        self._neg_t = [self._neg_slow(a) for a in range(q)]
-        self._inv_t = [None] + [self._inv_slow(a) for a in range(1, q)]
-
-    def _add_slow(self, a, b):
-        p = self.p
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        return self._index([(x + y) % p for x, y in zip(ca, cb)])
-
-    def _mul_slow(self, a, b):
-        p, k, m = self.p, self.k, self.modulus
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] += x * y
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * m[j]
-        return self._index([c % p for c in prod[:k]])
-
-    def _neg_slow(self, a):
-        p = self.p
-        return self._index([-c % p for c in self._coeffs(a)])
-
-    def _inv_slow(self, a):
-        if a == 0:
-            raise ZeroDivisionError(f"inverting zero in {self}")
-        inv = _poly_inverse(_poly_trim(self._coeffs(a)), self.modulus, self._base)
-        return self._index(list(inv) + [0] * (self.k - len(inv)))
-
-    # -- raw ops
+    @functools.cached_property
+    def _tables(self):
+        """add, mul, neg and inverse tables, built on first use."""
+        q, p, ring = range(self.order), self.p, self._ring
+        return (
+            [[_px_add(p, 1, a, b) for b in q] for a in q],
+            [[ring.mul(a, b) for b in q] for a in q],
+            [_px_add(p, -1, 0, a) for a in q],
+            [None] + [ring.pow(a, self.order - 2) for a in q[1:]],  # a^(q-2) = 1/a
+        )
 
     def add(self, a, b):
-        t = self._add_t
-        if t is None:
-            if self.order <= _TABLE_MAX:
-                self._build_tables()
-                t = self._add_t
-            else:
-                return self._add_slow(a, b)
-        return t[a][b]
+        return self._tables[0][a][b]
 
     def sub(self, a, b):
-        if self._add_t is None and self.order > _TABLE_MAX:
-            p = self.p
-            return self._index([(x - y) % p for x, y in zip(self._coeffs(a), self._coeffs(b))])
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        t = self._mul_t
-        if t is None:
-            if self.order <= _TABLE_MAX:
-                self._build_tables()
-                t = self._mul_t
-            else:
-                return self._mul_slow(a, b)
-        return t[a][b]
+        return self._tables[1][a][b]
 
     def neg(self, a):
-        t = self._neg_t
-        return self._neg_slow(a) if t is None else t[a]
+        return self._tables[2][a]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverting zero in {self}")
-        t = self._inv_t
-        return self._inv_slow(a) if t is None else t[a]
+        return self._tables[3][a] if self.order <= _TABLE_MAX else self._ring.pow(a, self.order - 2)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -868,7 +908,7 @@ class Embedding:
             # the first root of src's modulus in dst (first-root convention),
             # which exists: the modulus is irreducible and its degree divides dst.k
             self.root = _first_root_raw(self.dst, self.src.modulus)
-        return _horner(self.dst, self.src._coeffs(a), self.root)
+        return _horner(self.dst, _digits(a, self.src.char), self.root)
 
     def __repr__(self):
         return f"Embedding({self.src} -> {self.dst})"
@@ -906,12 +946,18 @@ def _roots_raw(f: FieldCtx, coeffs) -> list:
     """
     g = _poly_monic(_poly_trim(coeffs), f)
     p, k = f.char, f.k
-    q0 = next(
-        p**s for s in range(1, k + 1)
-        if k % s == 0 and all(f.pow_raw(c, p**s) == c for c in g)
-    )
-    y = _poly_rem((0, f.one), g, f)
-    g = _poly_gcd(g, _poly_sub(_poly_powmod(y, f.order, g, f), y, f), f)
+    if all(c < p for c in g):
+        # g lies over GF(p), whose integer kernel gives the same gcd
+        q0, ring = p, _PolyMod(p, g)
+        y = ring.mul(p, 1)  # x mod g; p is the index of x
+        g = tuple(_digits(_px_gcd(ring.m, _px_add(p, -1, ring.pow(y, f.order), y), p), p))
+    else:
+        q0 = next(
+            p**s for s in range(2, k + 1)
+            if k % s == 0 and all(f.pow_raw(c, p**s) == c for c in g)
+        )
+        y = _poly_rem((0, f.one), g, f)
+        g = _poly_gcd(g, _poly_sub(_poly_powmod(y, f.order, g, f), y, f), f)
     rng = random.Random(_SPLIT_SEED)
     roots = []
     while len(g) > 1:

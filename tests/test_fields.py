@@ -235,6 +235,20 @@ class TestSizeBudget:
         assert time.perf_counter() - start < 0.5
         assert F.order == 2**200 and len(F.modulus) == 201
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "p,k,low",
+        [(7, 75, (4, 3, 1, 3)), (31, 49, (29, 1, 1)), (11, 55, (4, 1, 0, 1))],
+        ids=["7^75", "31^49", "11^55"],
+    )
+    def test_slowest_odd_p_moduli_build_in_five_seconds(self, monkeypatch, p, k, low):
+        # each took 4.5-8 s on the list arithmetic; the moduli are pinned from it
+        self._cold(monkeypatch, p, k)
+        start = time.perf_counter()
+        F = GF(p, k)
+        assert time.perf_counter() - start < 5.0
+        assert F.modulus == low + (0,) * (k - len(low)) + (1,)
+
     @pytest.mark.parametrize("p,k", [(2, 256), (1000000000000000000000007, 3)], ids=_short)
     def test_at_the_budget_accepted(self, p, k):
         assert k * math.ceil(math.log2(p)) <= fields_mod._SIZE_BUDGET == 256
