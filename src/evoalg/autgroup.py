@@ -247,7 +247,8 @@ def _base_field_elements(desc: AutDescription) -> tuple:
     out = []
     for m in desc.finite_elements:
         if all(K.pow_raw(y, F.order) == y for r in m.e for y in r):
-            assert all(y < F.char for r in m.e for y in r), "entry outside the prime field"
+            if not all(y < F.char for r in m.e for y in r):
+                raise AssertionError("entry outside the prime field")
             out.append(Mat2(F, m.e))
     return tuple(out)
 

@@ -324,7 +324,8 @@ def iso_test(E: EvolutionMsc, F: EvolutionMsc) -> BasisChange | None:
     up = lambda A: A.over(embed(A.field, common))
     # E's witness, then the inverse of F's, over the common field
     composite = BasisChange(up(re.witness.ginv).mul(up(rf.witness.g)))
-    assert transform(up(E), composite) == up(F), "witness composition failed"
+    if transform(up(E), composite) != up(F):
+        raise AssertionError("witness composition failed")
     return composite
 
 

@@ -12,15 +12,19 @@ Extension fields are single quotients GF(p)[x]/(m), m monic irreducible;
 towers are flattened into one extension of the prime field. One integer
 kernel does GF(p)[x] on base-p indices: over GF(2) the index is the packed
 polynomial (XOR, carry-less products), for odd p a product packs the digits
-into slots of one int. It is the arithmetic above order 128, fills the tables
-smaller fields switch to on first use, and runs Ben-Or's test, which proves
-moduli irreducible. An embedding keeps one root, the image of the source's
-generator, and evaluates coefficients there: no work in the source order.
+into slots of one int. It is the arithmetic above order 128 (inverses by the
+extended Euclidean algorithm), fills the tables smaller fields switch to on
+first use, and runs Ben-Or's test, which proves moduli irreducible. Its ring
+GF(p^k)[y]/(h) packs a polynomial over GF(p^k) the same way, the coefficient
+of x^i y^j in slot i + (2k - 1) j. An embedding keeps one root, the image of
+the source's generator, and evaluates coefficients there: no work in the
+source order.
 
 Roots over a finite field are the least root in canonical order. A field with
 tables is scanned element by element; in a larger one, the roots come from
-gcd(f, y^q - y), in the kernel when f lies over GF(p), and Cantor-Zassenhaus
-splitting, all of them, and the least is taken, so both give the same root.
+gcd(f, y^q - y) and Cantor-Zassenhaus splitting, all of them, with every
+power taken in that ring (in GF(p)[y]/(f) when f lies over GF(p)), and the
+least is taken, so both give the same root.
 The default modulus is the first irreducible in base-p scan order. Primality
 is deterministic Miller-Rabin with the prime bases up to 41, exact below
 3.317e24; a p at or above that bound that no base proves composite is refused
@@ -87,8 +91,11 @@ class NeedsExtension(FieldError):
     """
 
     def __init__(self, poly):
-        super().__init__(f"needs an extension containing a root of {poly}")
+        super().__init__(poly)
         self.poly = poly
+
+    def __str__(self):  # built only when shown: a rational polynomial can run to many digits
+        return f"needs an extension containing a root of {self.poly}"
 
 
 # Miller-Rabin with the prime bases up to 41 decides every n below this bound
@@ -182,6 +189,21 @@ def _unpack(packed: int, n: int, p: int, w: int, base: int) -> int:
     return a
 
 
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product over GF(2): one shifted copy of a per set bit of b."""
+    r = 0
+    while b:
+        low = b & -b
+        r ^= a << low.bit_length() - 1
+        b ^= low
+    return r
+
+
+def _gf2_square(a: int) -> int:
+    """a^2 over GF(2), unreduced: the bits spread apart."""
+    return int("0".join(format(a, "b")), 2)
+
+
 def _gf2_rem(a: int, b: int) -> int:
     """a mod b != 0 over GF(2)."""
     db = b.bit_length()
@@ -235,13 +257,8 @@ class _PolyMod:
             self._mu, self._m_neg = (_pack(_index(c, p), p, w) for c in (mu, [-c for c in m[:-1]]))
 
     def mul(self, a, b):
-        if self.p == 2:  # carry-less: one shifted copy of a per bit of b
-            r = 0
-            while b:
-                low = b & -b
-                r ^= a * low
-                b ^= low
-            return _gf2_rem(r, self.m)
+        if self.p == 2:
+            return _gf2_rem(_clmul(a, b), self.m)
         p, w = self.p, self._w
         return self._mul_packed(_pack(a, p, w), _pack(b, p, w), p)
 
@@ -258,7 +275,7 @@ class _PolyMod:
         p, acc = self.p, a
         if p == 2:
             for bit in bin(n)[3:]:
-                acc = _gf2_rem(int("0".join(format(acc, "b")), 2), self.m)
+                acc = _gf2_rem(_gf2_square(acc), self.m)
                 if bit == "1":
                     acc = self.mul(acc, a)
             return acc
@@ -269,6 +286,141 @@ class _PolyMod:
             if bit == "1":
                 acc = self._mul_packed(acc, a, 1 << w)
         return _unpack(acc, self.k, p, w, p)
+
+
+def _px_inv(a: int, ring: _PolyMod) -> int:
+    """1/a modulo the ring's irreducible m, by the extended Euclidean
+    algorithm on r_i = s_i a mod m; over GF(2) on the packed polynomials
+    (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
+    Algorithm 2.48), for odd p on coefficient lists."""
+    p = ring.p
+    if p == 2:
+        u, v, s, t = a, ring.m, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, s, t, j = v, u, t, s, -j
+            u, s = u ^ v << j, s ^ t << j
+        return s
+    r0, r1, s0, s1 = _digits(ring.m, p), _digits(a, p), [], [1]
+    while len(r1) > 1:
+        q, r = _divmod_digits(r0, r1, p)
+        t = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))  # s0 - q s1; s grows in degree
+        for i, c in enumerate(q):
+            for j, e in enumerate(s1):
+                t[i + j] -= c * e
+        r0, r1, s0, s1 = r1, r, s1, [c % p for c in t]
+    inv = pow(r1[0], -1, p)
+    return _index([c * inv for c in s1], p)
+
+
+def _slots_or(v: int, w: int) -> int:
+    """The OR of the w-bit slots of v, folded in halves."""
+    n = -(-v.bit_length() // w)
+    while n > 1:
+        n = (n + 1) // 2
+        v = v >> n * w | v & (1 << n * w) - 1
+    return v
+
+
+class _PolyRing:
+    """GF(p^k)[y]/(h) for a monic h of degree d >= 1 over the finite field f
+    (k = 1 for a prime field), irreducible or not, on single ints. Kronecker
+    substitution (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4)
+    puts the coefficient of x^i y^j in slot i + (2k - 1) j, so the blocks of
+    a product, of x-degree <= 2k - 2, never overlap, and one int product
+    (carry-less over GF(2)) multiplies two elements. Barrett's method reduces
+    it, as in _PolyMod: modulo m in x in every block at once, and modulo h in
+    y with the quotient ((P div y^d) nu) div y^(d-1), nu = y^(2d-1) div h,
+    whose coefficients are packed too. For odd p no coefficient on the way is
+    negative, one more Barrett step per product, on all slots at once, brings
+    each below 2p, and `unpack` takes them mod p. The slots are w bits wide,
+    just enough for what the largest operands, every slot 2p - 1, make: each
+    step is monotone in the slots, so no other operands make more."""
+
+    def __init__(self, f, h):
+        p, k, d = f.char, f.k, len(h) - 1
+        self.f, self.p, self.k, self.d = f, p, k, d
+        self._mul, self._add = (_clmul, int.__xor__) if p == 2 else (int.__mul__, int.__add__)
+        self._consts = [_poly_divmod((0,) * (2 * d - 1) + (f.one,), h, f)[0], [f.neg(c) for c in h[:-1]]]
+        if k > 1:
+            m = f.modulus
+            mu = _divmod_digits([0] * (2 * k - 1) + [1], list(m), p)[0]
+            self._consts += (_index(mu, p), _index([-c for c in m[:-1]], p))
+        if p == 2:
+            return self._size(1)
+        # one product of the largest operands, in slots past a bound of every
+        # step's growth, records the widest coefficient
+        t = 2 * p - 1
+        self._size((2 * (d * k) ** 3 * t**4 * (1 + ((k - 1) * t) ** 2) ** 3).bit_length())
+        seen, mul, add = [], self._mul, self._add
+        self._mul = lambda a, b: seen.append(mul(a, b)) or seen[-1]
+        self._add = lambda a, b: seen.append(add(a, b)) or seen[-1]
+        top = self._lo_d // ((1 << self.w) - 1) * t
+        self.mul(top, top)
+        self._mul, self._add = mul, add
+        self._size(_slots_or(functools.reduce(int.__or__, seen), self.w).bit_length())
+
+    def _size(self, w):
+        """Slots of w bits: the masks and the packed constants."""
+        p, k, d = self.p, self.k, self.d
+        bw = (2 * k - 1) * w
+        self.w, self._bw = w, bw
+        low = lambda n, blocks, step=bw: ((1 << n * w) - 1) * (((1 << blocks * step) - 1) // ((1 << step) - 1))
+        self._lo1, self._lo, self._lo_d = low(k - 1, 2 * d - 1), low(k, 2 * d - 1), low(k, d)
+        self._even, self._inv_p = low(1, d * k, 2 * w), (1 << w) // p  # every other slot; 2^w / p
+        nu, h_neg, *x_consts = self._consts
+        self._nu, self._h_neg = self.pack(nu), self.pack(h_neg)
+        self._mu, self._m_neg = (_pack(c, p, w) for c in x_consts) if k > 1 else (0, 0)
+
+    def pack(self, cs) -> int:
+        """The element with raw coefficients cs, low degree first, len(cs) <= d."""
+        p, w = self.p, self.w
+        return sum((c if p == 2 else _pack(c, p, w)) << j * self._bw for j, c in enumerate(cs))
+
+    def unpack(self, a) -> tuple:
+        k, p, w, mask = self.k, self.p, self.w, (1 << self.k * self.w) - 1
+        return _poly_trim(_unpack(a >> j * self._bw & mask, k, p, w, p) for j in range(self.d))
+
+    def _reduce_x(self, a, lo):
+        """a, of x-degree <= 2k - 2 in every block, modulo m in each; lo keeps
+        the low k slots of the blocks wanted."""
+        if self.k == 1:
+            return a & lo
+        kw, mul = self.k * self.w, self._mul
+        q = mul(a >> kw & self._lo1, self._mu) >> kw - self.w & self._lo1
+        return self._add(a, mul(q, self._m_neg)) & lo
+
+    def _reduce(self, prod):
+        d, bw = self.d, self._bw
+        prod = self._reduce_x(prod, self._lo)
+        if high := prod >> d * bw:
+            q = self._reduce_x(self._mul(high, self._nu) >> (d - 1) * bw, self._lo)
+            prod = self._reduce_x(self._add(prod & (1 << d * bw) - 1, self._mul(q, self._h_neg)), self._lo_d)
+        if self.p == 2:
+            return prod
+        # v - p floor(v floor(2^w / p) / 2^w) lies in [0, 2p) for v < 2^w; the
+        # even and the odd slots go apart, so that each v floor(2^w / p) has two
+        w, even, out = self.w, self._even, 0
+        for shift in (0, w):
+            v = prod >> shift & even
+            out |= v - self.p * (v * self._inv_p >> w & even) << shift
+        return out
+
+    def mul(self, a, b):
+        return self._reduce(self._mul(a, b))
+
+    def sqr(self, a):
+        return self._reduce(_gf2_square(a) if self.p == 2 else a * a)
+
+    def pow(self, a, n: int):
+        """a^n for n >= 1, by squaring and multiplying."""
+        acc = a
+        for bit in bin(n)[3:]:
+            acc = self.sqr(acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
+        return acc
 
 
 def _pf_is_irreducible(m, f) -> bool:
@@ -292,7 +444,8 @@ def _pf_is_irreducible(m, f) -> bool:
 # ---------------------------------------------------------------------------
 # polynomials over a finite field as trimmed tuples of raw coefficients, low
 # degree first; the field context `f` does the coefficient arithmetic. They
-# serve root finding over extension fields (Cantor-Zassenhaus).
+# do root finding's gcds and divisions over extension fields; its powers run
+# in the packed ring `_PolyRing`.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(cs) -> tuple:
@@ -306,19 +459,6 @@ def _poly_sub(a, b, f) -> tuple:
     n = max(len(a), len(b))
     a, b = tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
     return _poly_trim(map(f.sub, a, b))
-
-
-def _poly_mul(a, b, f) -> tuple:
-    if not a or not b:
-        return ()
-    add, mul = f.add, f.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return _poly_trim(out)
 
 
 def _poly_divmod(a, b, f):
@@ -360,18 +500,6 @@ def _poly_gcd(a, b, f) -> tuple:
     while b:
         a, b = b, _poly_rem(a, b, f)
     return _poly_monic(a, f)
-
-
-def _poly_powmod(a, n: int, m, f) -> tuple:
-    """a^n modulo the monic m, by square-and-multiply."""
-    acc, a = (f.one,), _poly_rem(a, m, f)
-    while n:
-        if n & 1:
-            acc = _poly_rem(_poly_mul(acc, a, f), m, f)
-        n >>= 1
-        if n:
-            a = _poly_rem(_poly_mul(a, a, f), m, f)
-    return acc
 
 
 def _first_irreducible(p: int, k: int) -> tuple:
@@ -729,10 +857,15 @@ class ExtensionField(_FiniteField):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverting zero in {self}")
-        return self._tables[3][a] if self.order <= _TABLE_MAX else self._ring.pow(a, self.order - 2)
+        return self._tables[3][a] if self.order <= _TABLE_MAX else _px_inv(a, self._ring)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def pow_raw(self, a, n: int):
+        if n < 1 or self.order <= _TABLE_MAX:
+            return super().pow_raw(a, n)
+        return self._ring.pow(a, n)
 
     def descriptor(self):
         return {"kind": "GF", "p": self.p, "k": self.k, "modulus": list(self.modulus)}
@@ -919,18 +1052,19 @@ class Embedding:
 _SPLIT_SEED = 20170101
 
 
-def _split_poly(g, a, f) -> tuple:
-    """A polynomial whose gcd with g, a monic product of distinct linear
-    factors y - r, keeps the r where it vanishes: (y + a)^((q-1)/2) - 1 for
-    odd q (r + a a nonzero square), the trace sum of (a y)^(2^i), i < n, for
-    q = 2^n (trace of a r zero)."""
+def _split_poly(ring: _PolyRing, a) -> tuple:
+    """A polynomial whose gcd with h, the ring's modulus and a monic product
+    of distinct linear factors y - r, keeps the r where it vanishes:
+    (y + a)^((q-1)/2) - 1 for odd q (r + a a nonzero square), the trace sum
+    of (a y)^(2^i), i < n, for q = 2^n (trace of a r zero); d >= 2."""
+    f = ring.f
     if f.char != 2:
-        return _poly_sub(_poly_powmod((a, f.one), (f.order - 1) // 2, g, f), (f.one,), f)
-    t = acc = _poly_rem(_poly_trim((0, a)), g, f)
+        return _poly_sub(ring.unpack(ring.pow(ring.pack((a, f.one)), (f.order - 1) // 2)), (f.one,), f)
+    t = acc = ring.pack((0, a))
     for _ in range(f.k - 1):
-        t = _poly_rem(_poly_mul(t, t, f), g, f)
-        acc = _poly_sub(acc, t, f)  # in characteristic 2 subtracting is adding
-    return acc
+        t = ring.sqr(t)
+        acc ^= t  # in characteristic 2 adding is XOR
+    return ring.unpack(acc)
 
 
 def _roots_raw(f: FieldCtx, coeffs) -> list:
@@ -942,7 +1076,9 @@ def _roots_raw(f: FieldCtx, coeffs) -> list:
     fixed-seed sequence over the whole field, cuts g until a linear factor
     y - r shows. If the coefficients lie in the subfield of order q0, the map
     r -> r^q0 permutes the roots, so r brings its whole orbit; g loses those
-    factors and the search goes on with what is left.
+    factors and the search goes on with what is left. The distinct-root step
+    takes its power in the kernel's GF(p)[y]/(g) when g lies over GF(p);
+    every other power is taken in the packed ring GF(q)[y]/(h).
     """
     g = _poly_monic(_poly_trim(coeffs), f)
     p, k = f.char, f.k
@@ -956,16 +1092,17 @@ def _roots_raw(f: FieldCtx, coeffs) -> list:
             p**s for s in range(2, k + 1)
             if k % s == 0 and all(f.pow_raw(c, p**s) == c for c in g)
         )
-        y = _poly_rem((0, f.one), g, f)
-        g = _poly_gcd(g, _poly_sub(_poly_powmod(y, f.order, g, f), y, f), f)
+        y, ring = _poly_rem((0, f.one), g, f), _PolyRing(f, g)
+        g = _poly_gcd(g, _poly_sub(ring.unpack(ring.pow(ring.pack(y), f.order)), y, f), f)
     rng = random.Random(_SPLIT_SEED)
     roots = []
     while len(g) > 1:
         h = g
         while len(h) > 2:
-            d = _poly_gcd(h, _split_poly(h, rng.randrange(f.order), f), f)
-            if 1 < len(d) < len(h):
-                h = min(d, _poly_divmod(h, d, f)[0], key=len)
+            ring, d = _PolyRing(f, h), h
+            while not 1 < len(d) < len(h):
+                d = _poly_gcd(h, _split_poly(ring, rng.randrange(f.order)), f)
+            h = min(d, _poly_divmod(h, d, f)[0], key=len)
         orbit = [f.neg(h[0])]
         while (r := f.pow_raw(orbit[-1], q0)) != orbit[0]:
             orbit.append(r)

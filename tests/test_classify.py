@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -394,3 +398,59 @@ class TestOracleAgreementGF3:
         diff_pairs = [(groups[i][0], groups[i + 1][0]) for i in range(6)]
         for A, B in diff_pairs:
             assert brute_iso(A, B, F9) is None
+
+
+_BROKEN_CHECKS = """
+import dataclasses
+import importlib
+from evoalg import GF, QQ, BasisChange, EvolutionMsc, Mat2, embed
+
+A, C = (importlib.import_module("evoalg." + m) for m in ("autgroup", "classify"))
+
+print("debug", __debug__)
+E, F = EvolutionMsc.of(QQ, (1, 2, 3, 5)), EvolutionMsc.of(QQ, (1, 2, 3, 5))  # equal, not one object
+classify = C.classify
+
+
+def broken(alg):  # E's witness times diag(2, 1), which no automorphism of E is
+    res = classify(alg)
+    if alg is not E:
+        return res
+    ginv = res.witness.ginv.mul(Mat2.of(QQ, ((2, 0), (0, 1))))
+    return dataclasses.replace(res, witness=BasisChange(ginv))
+
+
+C.classify = broken
+try:
+    C.iso_test(E, F)
+except AssertionError as e:
+    print("iso_test:", e)
+F4, F16 = GF(2, 2), GF(2, 4)
+y = embed(F4, F16).raw(2)  # the generator of GF(4): y^4 = y, not in GF(2)
+key = classify(EvolutionMsc.of(F4, (0, 1, 1, 0))).key
+desc = A.AutDescription(key, F4, F16, (Mat2(F16, ((y, 0), (0, y))),), ())
+try:
+    A.aut_order(desc)
+except AssertionError as e:
+    print("aut_order:", e)
+"""
+
+
+class TestChecksUnderOptimize:
+    """The composite witness check of iso_test and the prime-field check of
+    the automorphism elements hold under `python -O`, which drops asserts."""
+
+    def test_broken_composite_and_entry_raise(self):
+        import evoalg
+
+        src = str(pathlib.Path(evoalg.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_CHECKS], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "debug False",
+            "iso_test: witness composition failed",
+            "aut_order: entry outside the prime field",
+        ]

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import pickle
 import re
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoalg import Mat2, field_make
+from evoalg import QQ, EvolutionMsc, Mat2, NeedsExtension, Poly, field_make, iso_test
+from evoalg import cli
 from evoalg.cli import run
 from evoalg.serialize import matrix_to_json
 
@@ -635,3 +637,34 @@ class TestDeterminismAndRoundTrip:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"label": "E2", "params": ["1/8"]}
+
+
+class TestNeedsExtensionMessage:
+    """The message of NeedsExtension is built when it is shown; its text, the
+    polynomial it carries and the one-line report of the command line stay
+    as they were when it was built at once."""
+
+    CUBIC = "needs an extension containing a root of Poly(Q, ['-1/18', '0', '0', '1'])"
+
+    def test_text_and_poly(self):
+        with pytest.raises(NeedsExtension) as info:
+            iso_test(EvolutionMsc.of(QQ, (0, 2, 3, 0)), EvolutionMsc.of(QQ, (0, 1, 1, 0)))
+        e = info.value
+        assert str(e) == self.CUBIC
+        assert e.poly == Poly(QQ, [Fraction(-1, 18), 0, 0, 1])
+        assert str(pickle.loads(pickle.dumps(e))) == self.CUBIC
+        big = EvolutionMsc.of(QQ, (0, Fraction(2 * 10**60 + 1, 3), 3, 0))
+        with pytest.raises(NeedsExtension) as info:
+            iso_test(big, EvolutionMsc.of(QQ, (0, 1, 1, 0)))
+        assert str(info.value) == (
+            "needs an extension containing a root of Poly(Q, "
+            "['-1/6" + "0" * 59 + "3', '0', '0', '1'])"
+        )
+
+    def test_command_line_report(self, capsys, monkeypatch):
+        def raise_it(alg):
+            raise NeedsExtension(Poly(QQ, [Fraction(-1, 18), 0, 0, 1]))
+
+        monkeypatch.setattr(cli, "classify", raise_it)
+        code, out, err = invoke(capsys, "classify", "-a", '{"field":{"kind":"Q"},"msc":["0","2","3","0"]}')
+        assert (code, out, err) == (1, "", f"evoalg: {self.CUBIC}\n")
