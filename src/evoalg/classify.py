@@ -134,28 +134,98 @@ class ClassificationResult:
     lam: Fel | None  # proportionality factor of the degenerate two-row case
 
 
-# basis change carrying [[1,0,0,0],[0,0,0,0]] onto the E2(0) representative:
-# new basis f1 = e1 + e2, f2 = -e2
-_FIX_TO_E20 = ((1, 0), (1, -1))
-
-
-def _diag(f: FieldCtx, x, y) -> Mat2:
-    return Mat2(f, ((x, f.zero), (f.zero, y)))
-
-
-def _rowswap(m: Mat2) -> Mat2:
-    return Mat2(m.field, (m.e[1], m.e[0]))
-
-
 def _root_witness(f: FieldCtx, raw_coeffs):
-    """find_root wrapper on raw coefficients: (field2, root_raw, embedding)
-    or the polynomial that would be needed over Q."""
+    """find_root on raw coefficients: (field2, raw root, embedding, None), or
+    (f, None, None, the polynomial) when Q holds no root."""
     poly = Poly(f, tuple(Fel(f, c) for c in raw_coeffs))
     try:
         k, root, emb = find_root(f, poly)
     except NeedsExtension:
-        return None, None, None, poly
+        return f, None, None, poly
     return k, root.raw, emb, None
+
+
+def _classify_raw(f: FieldCtx, abcd):
+    """The decision tree of `classify` on raw entries: (label, raw params,
+    raw g^-1 entries over the witness field or None, witness field,
+    missing-root Poly or None, trace, raw lambda or None). Each case states
+    its g^-1 in closed form; the E2(0) cases reach [[1,0,0,0],[0,0,0,0]] and
+    then take the basis f1 = e1 + e2, f2 = -e2: g^-1 times ((1, 0), (1, -1))."""
+    a, b, c, d = abcd
+    zero, one = f.zero, f.one
+    mul, sub, div, inv, neg = f.mul, f.sub, f.div, f.inv, f.neg
+
+    if a == zero and b == zero and c == zero and d == zero:
+        return "E0", (), ((one, zero), (zero, one)), f, None, ("zero",), None
+
+    if sub(mul(a, d), mul(b, c)) != zero:
+        if a != zero and d != zero:
+            # case 1.1 -> E1{ab/d^2, cd/a^2}, g^-1 = diag(1/a, 1/d); putting the
+            # pair in CanonicalKey's (stable) order swaps the columns of g^-1
+            b2 = div(mul(a, b), mul(d, d))
+            c2 = div(mul(c, d), mul(a, a))
+            if f.sort_key(c2) < f.sort_key(b2):
+                return "E1", (c2, b2), ((zero, inv(a)), (inv(d), zero)), f, None, ("1.1",), None
+            return "E1", (b2, c2), ((inv(a), zero), (zero, inv(d))), f, None, ("1.1",), None
+        if a != zero:
+            # case 1.2 (d = 0, so b, c != 0) -> E2(bc^2/a^3), g^-1 = diag(1/a, c/a^2)
+            ginv = ((inv(a), zero), (zero, div(c, mul(a, a))))
+            return "E2", (div(mul(b, mul(c, c)), mul(a, mul(a, a))),), ginv, f, None, ("1.2",), None
+        if d != zero:
+            # case 1.3 (a = 0, so b, c != 0): swap the basis, then as in 1.2
+            ginv = ((zero, div(b, mul(d, d))), (inv(d), zero))
+            return "E2", (div(mul(c, mul(b, b)), mul(d, mul(d, d))),), ginv, f, None, ("1.3",), None
+        # case 1.4 (a = d = 0, b, c != 0) -> E3, g^-1 = diag(xi, c xi^2) with xi^3 = 1/(bc^2)
+        K, xi, emb, needs = _root_witness(f, (neg(inv(mul(b, mul(c, c)))), zero, zero, one))
+        ginv = None if needs else ((xi, zero), (zero, K.mul(emb.raw(c), K.mul(xi, xi))))
+        return "E3", (), ginv, K, needs, ("1.4",), None
+
+    # det == 0, not the zero algebra
+    row1_zero = a == zero and b == zero
+    if row1_zero or (c == zero and d == zero):
+        # one nonzero row (A, B); a leading swap reduces the row-1-zero case
+        A, B = (d, c) if row1_zero else (a, b)
+        K, needs = f, None
+        if A != zero and B != zero:
+            # case 2.2.1 -> E4, g^-1 = diag(1/A, eta) with eta^2 = 1/(AB)
+            label, params, tag = "E4", (), "2.2.1"
+            K, eta, emb, needs = _root_witness(f, (neg(inv(mul(A, B))), zero, one))
+            ginv = None if needs else ((emb.raw(inv(A)), zero), (zero, eta))
+        elif A != zero:
+            # case 2.2.1 with B = 0 -> E2(0): diag(1/A, 1), then the fix-up
+            label, params, tag = "E2", (zero,), "2.2.1"
+            ginv = ((inv(A), zero), (one, neg(one)))
+        else:
+            # case 2.2.2 (A = 0, B != 0) -> E6, g^-1 = diag(B, 1)
+            label, params, tag = "E6", (), "2.2.2"
+            ginv = ((B, zero), (zero, one))
+        if row1_zero:  # case 2.3: the same change with the rows of g^-1 swapped
+            return label, params, ginv and (ginv[1], ginv[0]), K, needs, ("2.3", tag), None
+        return label, params, ginv, K, needs, (tag,), None
+
+    # both rows nonzero and proportional: (c,d) = lam * (a,b)
+    lam = div(c, a) if a != zero else div(d, b)
+    if a != zero and b != zero:
+        s = f.add(a, mul(b, mul(lam, lam)))
+        if s == zero:
+            # case 2.1.2 -> E5, rational witness diag(1/a, 1/(b*lam))
+            return "E5", (), ((inv(a), zero), (zero, inv(mul(b, lam)))), f, None, ("2.1.2",), lam
+        # case 2.1.1 -> E4, g^-1 = ((1/s, eta), (lam/s, -a eta/(b lam))) with
+        # eta^2 = b*lam^2 / (a*s^2)
+        u = div(mul(b, mul(lam, lam)), mul(a, mul(s, s)))
+        K, eta, emb, needs = _root_witness(f, (neg(u), zero, one))
+        e2 = None if needs else K.mul(emb.raw(neg(div(a, mul(b, lam)))), eta)
+        ginv = None if needs else ((emb.raw(inv(s)), eta), (emb.raw(div(lam, s)), e2))
+        return "E4", (), ginv, K, needs, ("2.1.1",), lam
+
+    # exactly one of a, b is zero -> E2(0): ((1/a, 0), (lam/a, 1)) if b = 0, or
+    # ((1/(b lam^2), 1), (1/(b lam), 0)) if a = 0, reaches [[1,0,0,0],[0,0,0,0]], then the fix-up
+    if b == zero:
+        ginv = ((inv(a), zero), (f.add(div(lam, a), one), neg(one)))
+    else:
+        bl = mul(b, lam)
+        ginv = ((f.add(inv(mul(bl, lam)), one), neg(one)), (inv(bl), zero))
+    return "E2", (zero,), ginv, f, None, ("2.1.1",), lam
 
 
 def classify(E: EvolutionMsc) -> ClassificationResult:
@@ -169,132 +239,10 @@ def classify(E: EvolutionMsc) -> ClassificationResult:
     exact polynomial.
     """
     f = E.field
-    a, b, c, d = E.abcd
-    zero, one = f.zero, f.one
-    mul, sub, div, neg = f.mul, f.sub, f.div, f.neg
-
-    witness: BasisChange | None
-    needs: Poly | None = None
-    wfield: FieldCtx = f
-    lam_raw = None
-
-    if a == zero and b == zero and c == zero and d == zero:
-        key = CanonicalKey(f, "E0")
-        return ClassificationResult(
-            key, BasisChange.identity(f), f, None, ("zero",), None
-        )
-
-    det = sub(mul(a, d), mul(b, c))
-    if det != zero:
-        if a != zero and d != zero:
-            # case 1.1 -> E1{ab/d^2, cd/a^2}
-            b2 = div(mul(a, b), mul(d, d))
-            c2 = div(mul(c, d), mul(a, a))
-            key = CanonicalKey(f, "E1", (Fel(f, b2), Fel(f, c2)))
-            ginv = _diag(f, f.inv(a), f.inv(d))
-            if key.params[0].raw != b2:
-                ginv = ginv.mul(Mat2.swap(f))  # land on the sorted pair order
-            return ClassificationResult(
-                key, BasisChange(ginv), f, None, ("1.1",), None
-            )
-        if a != zero:
-            # case 1.2 (d = 0, so b, c != 0) -> E2(bc^2/a^3)
-            key = CanonicalKey(f, "E2", (Fel(f, div(mul(b, mul(c, c)), mul(a, mul(a, a)))),))
-            ginv = _diag(f, f.inv(a), div(c, mul(a, a)))
-            return ClassificationResult(
-                key, BasisChange(ginv), f, None, ("1.2",), None
-            )
-        if d != zero:
-            # case 1.3 (a = 0, so b, c != 0): swap the basis, then as in 1.2
-            key = CanonicalKey(f, "E2", (Fel(f, div(mul(c, mul(b, b)), mul(d, mul(d, d)))),))
-            ginv = _rowswap(_diag(f, f.inv(d), div(b, mul(d, d))))
-            return ClassificationResult(
-                key, BasisChange(ginv), f, None, ("1.3",), None
-            )
-        # case 1.4 (a = d = 0, b, c != 0) -> E3; xi1^3 = 1/(bc^2)
-        key = CanonicalKey(f, "E3")
-        u = f.inv(mul(b, mul(c, c)))
-        k, xi1, emb, needs = _root_witness(f, (neg(u), zero, zero, one))
-        if needs is None:
-            eta2 = k.mul(emb.raw(c), k.mul(xi1, xi1))
-            witness = BasisChange(_diag(k, xi1, eta2))
-            wfield = k
-        else:
-            witness = None
-        return ClassificationResult(key, witness, wfield, needs, ("1.4",), None)
-
-    # det == 0, not the zero algebra
-    row1_zero = a == zero and b == zero
-    row2_zero = c == zero and d == zero
-    if row1_zero or row2_zero:
-        # one nonzero row (A, B); a leading swap reduces the row-1-zero case
-        A, B = (d, c) if row1_zero else (a, b)
-        if A != zero and B != zero:
-            # case 2.2.1 -> E4; eta2^2 = 1/(AB)
-            key = CanonicalKey(f, "E4")
-            tag = "2.2.1"
-            u = f.inv(mul(A, B))
-            k, eta2, emb, needs = _root_witness(f, (neg(u), zero, one))
-            ginv0 = (
-                None if needs is not None else _diag(k, emb.raw(f.inv(A)), eta2)
-            )
-        elif A != zero:
-            # case 2.2.1 with B = 0 -> E2(0), composed with the unit fixup
-            key = CanonicalKey(f, "E2", (Fel(f, zero),))
-            tag = "2.2.1"
-            k = f
-            ginv0 = _diag(f, f.inv(A), one).mul(Mat2.of(f, _FIX_TO_E20))
-        else:
-            # case 2.2.2 (A = 0, B != 0) -> E6
-            key = CanonicalKey(f, "E6")
-            tag = "2.2.2"
-            k = f
-            ginv0 = _diag(f, B, one)
-        if needs is not None:
-            witness = None
-        else:
-            witness = BasisChange(_rowswap(ginv0) if row1_zero else ginv0)
-            wfield = k
-        trace = ("2.3", tag) if row1_zero else (tag,)
-        return ClassificationResult(key, witness, wfield, needs, trace, None)
-
-    # both rows nonzero and proportional: (c,d) = lam * (a,b)
-    lam_raw = div(c, a) if a != zero else div(d, b)
-    lam = Fel(f, lam_raw)
-    if a != zero and b != zero:
-        s = f.add(a, mul(b, mul(lam_raw, lam_raw)))
-        if s == zero:
-            # case 2.1.2 -> E5, rational witness diag(1/a, 1/(b*lam))
-            key = CanonicalKey(f, "E5")
-            ginv = _diag(f, f.inv(a), f.inv(mul(b, lam_raw)))
-            return ClassificationResult(
-                key, BasisChange(ginv), f, None, ("2.1.2",), lam
-            )
-        # case 2.1.1 -> E4; eta1^2 = b*lam^2 / (a*s^2)
-        key = CanonicalKey(f, "E4")
-        u = div(mul(b, mul(lam_raw, lam_raw)), mul(a, mul(s, s)))
-        k, eta1, emb, needs = _root_witness(f, (neg(u), zero, one))
-        if needs is not None:
-            witness = None
-        else:
-            xi1 = emb.raw(f.inv(s))
-            xi2 = emb.raw(div(lam_raw, s))
-            eta2 = k.mul(emb.raw(neg(div(a, mul(b, lam_raw)))), eta1)
-            witness = BasisChange(Mat2(k, ((xi1, eta1), (xi2, eta2))))
-            wfield = k
-        return ClassificationResult(key, witness, wfield, needs, ("2.1.1",), lam)
-
-    # exactly one of a, b is zero -> E2(0) through [[1,0,0,0],[0,0,0,0]]
-    key = CanonicalKey(f, "E2", (Fel(f, zero),))
-    if b == zero:
-        # lam = c/a != 0
-        ginv1 = Mat2(f, ((f.inv(a), zero), (div(lam_raw, a), one)))
-    else:
-        # a = 0, lam = d/b != 0
-        bl2 = mul(b, mul(lam_raw, lam_raw))
-        ginv1 = Mat2(f, ((f.inv(bl2), one), (f.inv(mul(b, lam_raw)), zero)))
-    ginv = ginv1.mul(Mat2.of(f, _FIX_TO_E20))
-    return ClassificationResult(key, BasisChange(ginv), f, None, ("2.1.1",), lam)
+    label, params, ginv, K, needs, trace, lam = _classify_raw(f, E.abcd)
+    key = CanonicalKey(f, label, tuple(Fel(f, p) for p in params))
+    witness = None if ginv is None else BasisChange(Mat2(K, ginv))
+    return ClassificationResult(key, witness, K, needs, trace, None if lam is None else Fel(f, lam))
 
 
 def _common_field(f1: FieldCtx, f2: FieldCtx) -> FieldCtx:

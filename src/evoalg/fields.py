@@ -1050,6 +1050,9 @@ class Embedding:
 # fixed seed of the shifts that split a product of linear factors; the roots
 # found do not depend on it, only the number of tries does
 _SPLIT_SEED = 20170101
+# shifts one `_roots_raw` call may draw (a try splits with probability about
+# 1/2 or more; the embedding GF(3^10) -> GF(3^20) needs 8 in all)
+_SPLIT_TRIES = 256
 
 
 def _split_poly(ring: _PolyRing, a) -> tuple:
@@ -1094,13 +1097,15 @@ def _roots_raw(f: FieldCtx, coeffs) -> list:
         )
         y, ring = _poly_rem((0, f.one), g, f), _PolyRing(f, g)
         g = _poly_gcd(g, _poly_sub(ring.unpack(ring.pow(ring.pack(y), f.order)), y, f), f)
-    rng = random.Random(_SPLIT_SEED)
+    rng, tries = random.Random(_SPLIT_SEED), 0
     roots = []
     while len(g) > 1:
         h = g
         while len(h) > 2:
             ring, d = _PolyRing(f, h), h
             while not 1 < len(d) < len(h):
+                if (tries := tries + 1) > _SPLIT_TRIES:  # raised, not asserted: python -O keeps it
+                    raise AssertionError(f"no split after {_SPLIT_TRIES} shifts over {f}")
                 d = _poly_gcd(h, _split_poly(ring, rng.randrange(f.order)), f)
             h = min(d, _poly_divmod(h, d, f)[0], key=len)
         orbit = [f.neg(h[0])]
@@ -1169,17 +1174,32 @@ def _int_nthroot(x: int, n: int):
     return r if r**n == x else None
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, big = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f * f != n:
-                big.append(n // f)
-        f += 1
-    return small + big[::-1]
+def _integer_roots(c: list) -> set:
+    """Integer roots of the monic integer polynomial `c` (low degree first)
+    of degree 2 or 3. Cuts at floor(t) and floor(t) + 1 for each real root t
+    of the derivative (exact, by math.isqrt) split [-B, B], B the Cauchy
+    bound, into monotone pieces; each is bisected on plain integers."""
+    B = 1 + max(map(abs, c[:-1]))
+    if len(c) == 3:
+        floors = [-c[1] // 2]  # the derivative's root -c1/2 lies in [t, t + 1]
+    else:
+        # the derivative's roots (-c2 -+ sqrt(D))/3, D = c2^2 - 3 c1, lie in
+        # [t, t + 1] for these t, whether D is a square or not
+        D = c[2] * c[2] - 3 * c[1]
+        s = math.isqrt(D) if D > 0 else None
+        floors = [] if s is None else [(-c[2] - s - 1) // 3, (-c[2] + s) // 3]
+    cuts = sorted({-B, B, *(t for u in floors for t in (u, u + 1) if -B < t < B)})
+    value = lambda y: functools.reduce(lambda acc, a: acc * y + a, reversed(c), 0)
+    roots = set()
+    for lo, hi in zip(cuts, cuts[1:]):
+        vlo = value(lo)
+        if vlo * value(hi) > 0:
+            continue  # one sign all along a monotone piece
+        while hi - lo > 1:  # lo stays on vlo's side of a root; +-B are never roots
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if (value(mid) < 0) == (vlo < 0) else (lo, mid)
+        roots.update(y for y in (lo, hi) if value(y) == 0)
+    return roots
 
 
 def _rational_root(coeffs: tuple[Fraction, ...]):
@@ -1196,26 +1216,20 @@ def _rational_root(coeffs: tuple[Fraction, ...]):
     if all(c == 0 for c in coeffs[1:-1]):
         # pure n-th root: x^n = u
         u = -coeffs[0] / coeffs[-1]
-        neg = u < 0
-        if neg and deg % 2 == 0:
+        if u < 0 and deg % 2 == 0:
             return None
-        nu, du = abs(u.numerator), u.denominator
-        rn, rd = _int_nthroot(nu, deg), _int_nthroot(du, deg)
+        rn, rd = _int_nthroot(abs(u.numerator), deg), _int_nthroot(u.denominator, deg)
         if rn is None or rd is None:
             return None
-        r = Fraction(rn, rd)
-        return -r if neg else r
+        return Fraction(rn if u > 0 else -rn, rd)
+    # with integer coefficients a_i, the rational roots x are y / a_n for the
+    # integer roots y of the monic y^n + sum a_i a_n^(n-1-i) y^i
     scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
-    cands = set()
-    for dn in _divisors(ints[0]):
-        for dd in _divisors(ints[-1]):
-            cands.add(Fraction(dn, dd))
-            cands.add(Fraction(-dn, dd))
-    for cand in sorted(cands, key=lambda r: (abs(r), r < 0)):
-        if _horner(QQ, coeffs, cand) == 0:
-            return cand
-    return None
+    an = ints[-1]
+    monic = [a * an ** (deg - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    roots = (Fraction(y, an) for y in _integer_roots(monic))
+    return min(roots, key=lambda r: (abs(r), r < 0), default=None)
 
 
 def find_root(field: FieldCtx, poly: Poly) -> tuple[FieldCtx, Fel, Embedding]:

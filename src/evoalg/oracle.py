@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass
 
 from .autgroup import aut_check, aut_closed_form, aut_instantiate
-from .classify import CanonicalKey, canonical_msc, classify
+from .classify import CanonicalKey, _classify_raw, canonical_msc
 from .derivations import _unit_residuals, der_solve, der_closed_form
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed
 from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform, transform_evolution_raw
@@ -166,36 +166,34 @@ def _abcds(q: int) -> list:
     return [v[::-1] for v in itertools.product(range(q), repeat=4)]
 
 
-def _verify_witness(E: EvolutionMsc, res, rk: tuple, max_ext: int, targets: dict) -> bool:
-    """The witness of res = classify(E), raw key rk, lands on the canonical
+def _verify_witness(F: FieldCtx, abcd, res, max_ext: int, targets: dict) -> bool:
+    """The witness of res = `_classify_raw(F, abcd)` lands on the canonical
     form within the allowed extension degree, by the closed forms on raw
-    entries. `targets` maps (witness field K, rk) to the embedding into K and
-    the raw image due there; the first algebra of each is also checked
+    entries. `targets` maps (witness field K, raw key) to the embedding into K
+    and the raw image due there; the first algebra of each is also checked
     through the generic `transform`."""
-    F, K = E.field, res.witness_field
-    if res.witness is None or K.k // F.k > max_ext:
+    label, params, ginv, K = res[:4]
+    if ginv is None or K.k // F.k > max_ext:
         return False
-    if (K, rk) not in targets:
+    if (K, label, params) not in targets:
         emb = embed(F, K)
         # the canonical representative over F, carried to K, is the one over K
-        C = canonical_msc(res.key).over(emb)
-        targets[K, rk] = emb, tuple(row[j] for row in C.rows for j in (0, 1, 3))
-        if transform(E.over(emb), res.witness) != C:
+        C = canonical_msc(CanonicalKey(F, label, tuple(Fel(F, p) for p in params))).over(emb)
+        targets[K, label, params] = emb, tuple(row[j] for row in C.rows for j in (0, 1, 3))
+        if transform(EvolutionMsc(F, abcd).over(emb), BasisChange(Mat2(K, ginv))) != C:
             return False
-    emb, target = targets[K, rk]
-    return transform_evolution_raw(K, tuple(map(emb.raw, E.abcd)), res.witness.ginv.e) == target
+    emb, target = targets[K, label, params]
+    return transform_evolution_raw(K, tuple(map(emb.raw, abcd)), ginv) == target
 
 
 def _phase1_chunk(F: FieldCtx, lo: int, hi: int, max_ext: int):
     """Classify and witness-check the evolution algebras over F with indices
-    [lo, hi); returns plain picklable tuples."""
+    [lo, hi) on raw entries; returns plain picklable tuples."""
     targets: dict = {}
     out = []
     for abcd in _abcds(F.order)[lo:hi]:
-        E = EvolutionMsc(F, abcd)
-        res = classify(E)
-        rk = (res.key.label, tuple(p.raw for p in res.key.params))
-        out.append((*rk, _verify_witness(E, res, rk, max_ext, targets)))
+        res = _classify_raw(F, abcd)
+        out.append((res[0], res[1], _verify_witness(F, abcd, res, max_ext, targets)))
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pathlib
@@ -32,6 +33,7 @@ from evoalg import (
     transform,
 )
 from evoalg.oracle import brute_iso, gl2_enumerate
+from evoalg.serialize import dumps, result_to_json
 
 from conftest import F3, F4, F5, F7, F9, basis_change_st, evolution_st
 
@@ -361,6 +363,53 @@ class TestInvariantsSmallFields:
                 label.label == "E2" and not label.params[0].is_zero
             )
             assert in_det_class == nonzero_det
+
+
+class TestResultDigest:
+    """`result_to_json` of a seeded set of algebras over Q, GF(p) and
+    GF(p^k), reaching every trace tag, the E1 pair in both orders, witnesses
+    in extensions and missing roots over Q, pinned by one sha256."""
+
+    FIELDS = (QQ, GF(2), GF(7), GF(13), GF(101), GF(2, 3), GF(3, 2), GF(5, 2))
+    # recorded with the classifier that built each g^-1 from matrix products
+    DIGEST = "3c1395d6f70dbe0beddcf11312d9e1ce1177fb220d8943e05114d8fa523b3288"
+
+    def algebras(self):
+        rng = random.Random(16)
+
+        def el(f):
+            if rng.random() < 0.3:
+                return f.zero
+            if f.order is None:
+                return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+            return rng.randrange(f.order)
+
+        for i in range(2400):
+            f = self.FIELDS[i % len(self.FIELDS)]
+            a, b, c, d = (el(f) for _ in range(4))
+            shape = rng.randrange(3)
+            if shape == 1:  # proportional rows
+                lam = el(f)
+                c, d = f.mul(lam, a), f.mul(lam, b)
+            elif shape == 2 and f.order is None:  # rational roots more often
+                c, d = a * a, b * b
+            yield EvolutionMsc(f, (a, b, c, d))
+
+    def test_pinned_digest(self):
+        digest, tags, kinds = hashlib.sha256(), set(), set()
+        for E in self.algebras():
+            res = classify(E)
+            digest.update(dumps(result_to_json(res)).encode())
+            tags.update(res.trace)
+            if res.key.label == "E1" and res.witness.ginv.e[0][0] == E.field.zero:
+                kinds.add("E1 pair swapped")
+            if res.needs_extension is not None:
+                kinds.add("no rational root")
+            if res.witness_field is not E.field:
+                kinds.add("witness in an extension")
+        assert tags == ALLOWED_TAGS
+        assert kinds == {"E1 pair swapped", "no rational root", "witness in an extension"}
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestOracleAgreementGF3:

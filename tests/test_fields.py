@@ -498,6 +498,98 @@ class TestFindRoot:
         assert emb.raw(field.one) == ext.one
 
 
+def _trial_division_root(coeffs):
+    """Reference for `_rational_root` off the pure x^n = u path, the
+    candidate enumeration it replaced: every p/q with p | a_0 and q | a_n,
+    the divisors found by trial division up to the square root, tried in the
+    documented order (0 first, then ascending |r|, positive first)."""
+
+    def divisors(n):
+        n = abs(n)
+        small, big = [], []
+        f = 1
+        while f * f <= n:
+            if n % f == 0:
+                small.append(f)
+                if f * f != n:
+                    big.append(n // f)
+            f += 1
+        return small + big[::-1]
+
+    if coeffs[0] == 0:
+        return Fraction(0)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    cands = {Fraction(s * dn, dd) for dn in divisors(ints[0]) for dd in divisors(ints[-1]) for s in (1, -1)}
+    for cand in sorted(cands, key=lambda r: (abs(r), r < 0)):
+        if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
+            return cand
+    return None
+
+
+def _expand(roots, lead, extra=()):
+    """Coefficients, low degree first, of lead * prod(x - r) * (the
+    polynomial with coefficients `extra`, if any)."""
+    cs = [Fraction(lead)]
+    for factor in [(-r, 1) for r in roots] + ([extra] if extra else []):
+        out = [Fraction(0)] * (len(cs) + len(factor) - 1)
+        for i, a in enumerate(cs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        cs = out
+    return tuple(cs)
+
+
+class TestRationalRoots:
+    """Rational roots of non-pure quadratics and cubics over Q come from the
+    integer roots of a monic transform, found by bisection, in bounded work."""
+
+    small = st.fractions(min_value=-40, max_value=40, max_denominator=9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        deg=st.sampled_from([2, 3]),
+        lead=st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool),
+    )
+    def test_agrees_with_trial_division(self, data, deg, lead):
+        if data.draw(st.booleans()):  # as many rational roots as the degree
+            coeffs = _expand(data.draw(st.lists(self.small, min_size=deg, max_size=deg)), lead)
+        else:
+            coeffs = (*data.draw(st.lists(self.small, min_size=deg, max_size=deg)), lead)
+        if all(c == 0 for c in coeffs[1:-1]):
+            return  # the pure x^n = u path
+        assert fields_mod._rational_root(coeffs) == _trial_division_root(coeffs)
+
+    @pytest.mark.parametrize("c0", [10**16 + 61, 10**20 + 39, 10**400 + 3])
+    def test_large_constant_term_without_a_root(self, c0):
+        # x^2 + x + c0 has no real root; trial division up to sqrt(c0) took
+        # 15 s at 10^16 + 61
+        start = time.perf_counter()
+        with pytest.raises(NeedsExtension):
+            find_root(QQ, Poly(QQ, [c0, 1, 1]))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "roots,lead,extra,first",
+        [
+            # a cubic whose only rational root has 300 digits
+            ([Fraction(10**300 + 7, 3)], 1, (1, 1, 1), Fraction(10**300 + 7, 3)),
+            ([Fraction(10**200), -(10**200) - 1], Fraction(-5, 7), (), Fraction(10**200)),
+            ([Fraction(-(10**150), 11), Fraction(10**150, 11), 3], 13, (), 3),
+            ([Fraction(-(10**150), 11), Fraction(10**150, 11), 10**151], 2, (), Fraction(10**150, 11)),
+            ([Fraction(-(10**150), 11), Fraction(10**150, 11) + 1], 2, (), Fraction(-(10**150), 11)),
+            ([Fraction(10**90 + 1, 10**60), Fraction(10**90 + 1, 10**60)], 1, (), Fraction(10**90 + 1, 10**60)),
+        ],
+    )
+    def test_large_roots(self, roots, lead, extra, first):
+        coeffs = _expand(roots, lead, extra)
+        start = time.perf_counter()
+        k, r, _ = find_root(QQ, Poly(QQ, coeffs))
+        assert time.perf_counter() - start < 1
+        assert k is QQ and r.raw == first
+
+
 class TestEncoding:
     def test_q_text(self):
         assert QQ.text(QQ.coerce("-3")) == "-3"

@@ -278,6 +278,15 @@ class TestRoots:
         assert len(calls) == 8 and min(roots) == self.PINS[-1][3][0]
         assert embed(src, dst).raw(3) == min(roots)  # raw 3 is the generator x
 
+    def test_a_broken_split_fails_fast(self, monkeypatch):
+        # a split that never cuts: the bounded shifts end in an error, also
+        # under python -O, instead of a loop without end
+        monkeypatch.setattr(fields_mod, "_split_poly", lambda ring, a: (ring.f.one,))
+        start = time.perf_counter()
+        with pytest.raises(AssertionError, match="no split"):
+            fields_mod._roots_raw(GF(3, 20), GF(3, 10).modulus)
+        assert time.perf_counter() - start < 1
+
 
 class TestInverseAboveTables:
     """Inversion above the tables is the extended Euclidean algorithm; it

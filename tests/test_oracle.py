@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import random
@@ -16,6 +15,7 @@ from evoalg import (
     BudgetExceeded,
     CanonicalKey,
     EvolutionMsc,
+    Fel,
     InfiniteField,
     Mat2,
     Msc,
@@ -410,53 +410,65 @@ SHEARS = (((1, 1), (0, 1)), ((1, 0), (1, 1)))
 
 
 def after(res, ginv):
-    """res.witness followed by the change with raw g^-1 entries `ginv`."""
-    return res.witness.then(BasisChange(Mat2(res.witness_field, ginv)))
+    """Raw g^-1 entries of the witness of res = `oracle._classify_raw(...)`
+    followed by the change with raw g^-1 entries `ginv`, over the witness
+    field."""
+    K = res[3]
+    return BasisChange(Mat2(K, res[2])).then(BasisChange(Mat2(K, ginv))).ginv.e
 
 
 def wrong_witnesses(res):
-    """Witnesses in the field of res.witness followed by a shear (images
+    """Witnesses in the field of res's witness followed by a shear (images
     mostly not in evolution form) or, in fields of order above 2, by the
     scalar of raw encoding 2 (the image is a multiple of the canonical
     form)."""
-    scalars = [((2, 0), (0, 2))] if res.witness_field.order > 2 else []
+    scalars = [((2, 0), (0, 2))] if res[3].order > 2 else []
     return [after(res, ginv) for ginv in SHEARS + tuple(scalars)]
 
 
-def raw_key(res):
-    return res.key.label, tuple(p.raw for p in res.key.params)
+def with_witness(res, ginv):
+    """res with its raw g^-1 entries replaced by `ginv`."""
+    return (*res[:2], ginv, *res[3:])
+
+
+def canonical_over(field, res):
+    """The embedding of field into res's witness field and the canonical
+    representative of res's key carried there."""
+    emb = fields.embed(field, res[3])
+    key = CanonicalKey(field, res[0], tuple(Fel(field, p) for p in res[1]))
+    return emb, canonical_msc(key).over(emb)
 
 
 class TestWitnessCheck:
-    """The census's witness check by the closed forms of
-    `transform_evolution_raw`, against a generic-`transform` check."""
+    """The census's witness check on the raw classifier's output, by the
+    closed forms of `transform_evolution_raw`, against a generic-`transform`
+    check."""
 
     def bad_witness_census(self, monkeypatch, field, pick, make_bad, last=True):
-        """Census of `field` in which classify gives the last (or first)
-        algebra, in index order, of which `pick(res)` holds the witness
-        `make_bad(res)`. Also returns that algebra's classification and the
-        generic image under the bad witness, with the canonical form it
-        should have been. An algebra that is not the first of its (witness
-        field, key) pair never goes through the generic spot check, so only
-        the closed forms can catch it."""
+        """Census of `field` in which the raw classifier gives the last (or
+        first) algebra, in index order, of which `pick(res)` holds the raw
+        witness `make_bad(res)`. Also returns that algebra's raw
+        classification and the generic image under the bad witness, with the
+        canonical form it should have been. An algebra that is not the first
+        of its (witness field, key) pair never goes through the generic spot
+        check, so only the closed forms can catch it."""
         abcds = oracle._abcds(field.order)
-        ress = [classify(EvolutionMsc(field, abcd)) for abcd in abcds]
+        ress = [oracle._classify_raw(field, abcd) for abcd in abcds]
         i = (max if last else min)(i for i, res in enumerate(ress) if pick(res))
-        first = min(j for j, res in enumerate(ress) if res.witness_field is ress[i].witness_field
-                    and raw_key(res) == raw_key(ress[i]))
+        first = min(j for j, res in enumerate(ress) if res[3] is ress[i][3] and res[:2] == ress[i][:2])
         assert (first < i) == last
         bad = make_bad(ress[i])
-        real = oracle.classify
+        real = oracle._classify_raw
 
-        def wrong_classify(E):
-            res = real(E)
-            return dataclasses.replace(res, witness=bad) if E.abcd == abcds[i] else res
+        def wrong_classify(F, abcd):
+            res = real(F, abcd)
+            return with_witness(res, bad) if abcd == abcds[i] else res
 
-        monkeypatch.setattr(oracle, "classify", wrong_classify)
-        E, res = EvolutionMsc(field, abcds[i]), ress[i]
-        emb = fields.embed(field, res.witness_field)
-        image = transform(E.over(emb), bad)
-        return census(field, 6), res, image, canonical_msc(res.key).over(emb)
+        monkeypatch.setattr(oracle, "_classify_raw", wrong_classify)
+        res = ress[i]
+        emb, C = canonical_over(field, res)
+        image = transform(EvolutionMsc(field, abcds[i]).over(emb), BasisChange(Mat2(res[3], bad)))
+        return census(field, 6), res, image, C
 
     def assert_only_witness_flag_cleared(self, rep):
         assert not rep.flags["witnesses_ok"]
@@ -464,14 +476,14 @@ class TestWitnessCheck:
         assert rep.flags["aut_closed_form_ok"] and rep.flags["der_closed_form_ok"]
 
     def test_wrong_witness_in_the_base_field(self, monkeypatch):
-        pick = lambda res: res.key.label == "E6" and res.witness_field is F3
+        pick = lambda res: res[0] == "E6" and res[3] is F3
         scale = lambda res: after(res, ((2, 0), (0, 2)))
         rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, scale)
         assert is_evolution(image) and image != C
         self.assert_only_witness_flag_cleared(rep)
 
     def test_wrong_witness_in_an_extension(self, monkeypatch):
-        pick = lambda res: res.key.label == "E4" and res.witness_field is not F3
+        pick = lambda res: res[0] == "E4" and res[3] is not F3
         scale = lambda res: after(res, ((2, 0), (0, 2)))
         rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, scale)
         assert image.field.order == 9
@@ -479,7 +491,7 @@ class TestWitnessCheck:
         self.assert_only_witness_flag_cleared(rep)
 
     def test_image_not_in_evolution_form(self, monkeypatch):
-        pick = lambda res: res.key.label == "E6" and res.witness_field is F3
+        pick = lambda res: res[0] == "E6" and res[3] is F3
         shear = lambda res: after(res, SHEARS[1])
         rep, _, image, _ = self.bad_witness_census(monkeypatch, F3, pick, shear)
         assert not is_evolution(image)
@@ -489,12 +501,12 @@ class TestWitnessCheck:
         # the first algebra of a pair gets a wrong witness, and the closed
         # forms are made to evaluate its right witness in its place, so only
         # the generic spot check can notice
-        pick = lambda res: res.key.label == "E6" and res.witness_field is F3
+        pick = lambda res: res[0] == "E6" and res[3] is F3
         right_of = {}  # raw g^-1 of the wrong witness -> that of the right one
 
         def bad(res):
             w = after(res, SHEARS[1])
-            right_of[w.ginv.e] = res.witness.ginv.e
+            right_of[w] = res[2]
             return w
 
         evaluate = oracle.transform_evolution_raw
@@ -507,20 +519,20 @@ class TestWitnessCheck:
     @pytest.mark.parametrize("field", [F2, F3, F4, F5])
     def test_closed_forms_agree_with_the_generic_transform(self, field):
         # the targets are made first, so each later call checks by the
-        # closed forms alone
+        # closed forms alone; classify wraps the same raw output
         targets: dict = {}
         answers = set()
         for abcd in oracle._abcds(field.order):
             E = EvolutionMsc(field, abcd)
-            res = classify(E)
-            rk = raw_key(res)
-            assert oracle._verify_witness(E, res, rk, 6, targets)
-            emb = fields.embed(field, res.witness_field)
-            C = canonical_msc(res.key).over(emb)
-            for w in [res.witness] + wrong_witnesses(res):
-                wres = dataclasses.replace(res, witness=w)
-                generic = transform(E.over(emb), w) == C
-                assert oracle._verify_witness(E, wres, rk, 6, targets) == generic, (abcd, w)
+            res = oracle._classify_raw(field, abcd)
+            full = classify(E)
+            assert (full.key.label, tuple(p.raw for p in full.key.params)) == res[:2]
+            assert full.witness.ginv.e == res[2] and full.witness_field is res[3]
+            assert oracle._verify_witness(field, abcd, res, 6, targets)
+            emb, C = canonical_over(field, res)
+            for w in [res[2]] + wrong_witnesses(res):
+                generic = transform(E.over(emb), BasisChange(Mat2(res[3], w))) == C
+                assert oracle._verify_witness(field, abcd, with_witness(res, w), 6, targets) == generic, (abcd, w)
                 answers.add(generic)
         assert answers == {True, False}
 
