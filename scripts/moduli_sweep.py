@@ -11,10 +11,8 @@ the modulus low degree first, in sweep order: equal digests mean equal moduli.
 
 Example:
     PYTHONPATH=src python3 scripts/moduli_sweep.py
-    PYTHONPATH=src python3 scripts/moduli_sweep.py --primes 2 3
 """
 
-import argparse
 import hashlib
 import time
 
@@ -27,12 +25,8 @@ PRIMES = [p for p in range(2, 64) if all(p % d for d in range(2, p))] + [
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--primes", type=int, nargs="+", default=PRIMES)
-    args = ap.parse_args()
-
     digest, times = hashlib.sha256(), []
-    for p in args.primes:
+    for p in PRIMES:
         GF(p)  # primality is proved here, outside the timed builds
         for k in range(2, _SIZE_BUDGET // (p - 1).bit_length() + 1):
             start = time.perf_counter()

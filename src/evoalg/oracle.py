@@ -166,13 +166,12 @@ def _abcds(q: int) -> list:
     return [v[::-1] for v in itertools.product(range(q), repeat=4)]
 
 
-def _verify_witness(F: FieldCtx, abcd, res, max_ext: int, targets: dict) -> bool:
-    """The witness of res = `_classify_raw(F, abcd)` lands on the canonical
-    form within the allowed extension degree, by the closed forms on raw
-    entries. `targets` maps (witness field K, raw key) to the embedding into K
-    and the raw image due there; the first algebra of each is also checked
-    through the generic `transform`."""
-    label, params, ginv, K = res[:4]
+def _verify_witness(F: FieldCtx, abcd, label, params, ginv, K, max_ext: int, targets: dict) -> bool:
+    """The raw witness ginv over K of `_classify_raw(F, abcd)`, with raw key
+    (label, params), lands on the canonical form within the allowed extension
+    degree, by the closed forms on raw entries. `targets` maps (witness field
+    K, raw key) to the embedding into K and the raw image due there; the first
+    algebra of each is also checked through the generic `transform`."""
     if ginv is None or K.k // F.k > max_ext:
         return False
     if (K, label, params) not in targets:
@@ -192,8 +191,8 @@ def _phase1_chunk(F: FieldCtx, lo: int, hi: int, max_ext: int):
     targets: dict = {}
     out = []
     for abcd in _abcds(F.order)[lo:hi]:
-        res = _classify_raw(F, abcd)
-        out.append((res[0], res[1], _verify_witness(F, abcd, res, max_ext, targets)))
+        label, params, ginv, K, *_ = _classify_raw(F, abcd)
+        out.append((label, params, _verify_witness(F, abcd, label, params, ginv, K, max_ext, targets)))
     return out
 
 

@@ -413,8 +413,8 @@ def after(res, ginv):
     """Raw g^-1 entries of the witness of res = `oracle._classify_raw(...)`
     followed by the change with raw g^-1 entries `ginv`, over the witness
     field."""
-    K = res[3]
-    return BasisChange(Mat2(K, res[2])).then(BasisChange(Mat2(K, ginv))).ginv.e
+    _, _, witness, K, *_ = res
+    return BasisChange(Mat2(K, witness)).then(BasisChange(Mat2(K, ginv))).ginv.e
 
 
 def wrong_witnesses(res):
@@ -422,21 +422,31 @@ def wrong_witnesses(res):
     mostly not in evolution form) or, in fields of order above 2, by the
     scalar of raw encoding 2 (the image is a multiple of the canonical
     form)."""
-    scalars = [((2, 0), (0, 2))] if res[3].order > 2 else []
+    _, _, _, K, *_ = res
+    scalars = [((2, 0), (0, 2))] if K.order > 2 else []
     return [after(res, ginv) for ginv in SHEARS + tuple(scalars)]
 
 
 def with_witness(res, ginv):
     """res with its raw g^-1 entries replaced by `ginv`."""
-    return (*res[:2], ginv, *res[3:])
+    label, params, _, *rest = res
+    return (label, params, ginv, *rest)
 
 
 def canonical_over(field, res):
     """The embedding of field into res's witness field and the canonical
     representative of res's key carried there."""
-    emb = fields.embed(field, res[3])
-    key = CanonicalKey(field, res[0], tuple(Fel(field, p) for p in res[1]))
+    label, params, _, K, *_ = res
+    emb = fields.embed(field, K)
+    key = CanonicalKey(field, label, tuple(Fel(field, p) for p in params))
     return emb, canonical_msc(key).over(emb)
+
+
+def verify(field, abcd, res, targets):
+    """`oracle._verify_witness` on the raw classification res of abcd, with
+    up to six extension steps allowed."""
+    label, params, ginv, K, *_ = res
+    return oracle._verify_witness(field, abcd, label, params, ginv, K, 6, targets)
 
 
 class TestWitnessCheck:
@@ -446,16 +456,17 @@ class TestWitnessCheck:
 
     def bad_witness_census(self, monkeypatch, field, pick, make_bad, last=True):
         """Census of `field` in which the raw classifier gives the last (or
-        first) algebra, in index order, of which `pick(res)` holds the raw
-        witness `make_bad(res)`. Also returns that algebra's raw
+        first) algebra, in index order, whose label and witness field satisfy
+        `pick` the raw witness `make_bad(res)`. Also returns that algebra's raw
         classification and the generic image under the bad witness, with the
         canonical form it should have been. An algebra that is not the first
         of its (witness field, key) pair never goes through the generic spot
         check, so only the closed forms can catch it."""
         abcds = oracle._abcds(field.order)
         ress = [oracle._classify_raw(field, abcd) for abcd in abcds]
-        i = (max if last else min)(i for i, res in enumerate(ress) if pick(res))
-        first = min(j for j, res in enumerate(ress) if res[3] is ress[i][3] and res[:2] == ress[i][:2])
+        i = (max if last else min)(i for i, (l, _, _, k, *_) in enumerate(ress) if pick(l, k))
+        label, params, _, K, *_ = ress[i]
+        first = min(j for j, (l, ps, _, k, *_) in enumerate(ress) if k is K and (l, ps) == (label, params))
         assert (first < i) == last
         bad = make_bad(ress[i])
         real = oracle._classify_raw
@@ -465,10 +476,9 @@ class TestWitnessCheck:
             return with_witness(res, bad) if abcd == abcds[i] else res
 
         monkeypatch.setattr(oracle, "_classify_raw", wrong_classify)
-        res = ress[i]
-        emb, C = canonical_over(field, res)
-        image = transform(EvolutionMsc(field, abcds[i]).over(emb), BasisChange(Mat2(res[3], bad)))
-        return census(field, 6), res, image, C
+        emb, C = canonical_over(field, ress[i])
+        image = transform(EvolutionMsc(field, abcds[i]).over(emb), BasisChange(Mat2(K, bad)))
+        return census(field, 6), ress[i], image, C
 
     def assert_only_witness_flag_cleared(self, rep):
         assert not rep.flags["witnesses_ok"]
@@ -476,14 +486,14 @@ class TestWitnessCheck:
         assert rep.flags["aut_closed_form_ok"] and rep.flags["der_closed_form_ok"]
 
     def test_wrong_witness_in_the_base_field(self, monkeypatch):
-        pick = lambda res: res[0] == "E6" and res[3] is F3
+        pick = lambda label, K: label == "E6" and K is F3
         scale = lambda res: after(res, ((2, 0), (0, 2)))
         rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, scale)
         assert is_evolution(image) and image != C
         self.assert_only_witness_flag_cleared(rep)
 
     def test_wrong_witness_in_an_extension(self, monkeypatch):
-        pick = lambda res: res[0] == "E4" and res[3] is not F3
+        pick = lambda label, K: label == "E4" and K is not F3
         scale = lambda res: after(res, ((2, 0), (0, 2)))
         rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, scale)
         assert image.field.order == 9
@@ -491,7 +501,7 @@ class TestWitnessCheck:
         self.assert_only_witness_flag_cleared(rep)
 
     def test_image_not_in_evolution_form(self, monkeypatch):
-        pick = lambda res: res[0] == "E6" and res[3] is F3
+        pick = lambda label, K: label == "E6" and K is F3
         shear = lambda res: after(res, SHEARS[1])
         rep, _, image, _ = self.bad_witness_census(monkeypatch, F3, pick, shear)
         assert not is_evolution(image)
@@ -501,12 +511,12 @@ class TestWitnessCheck:
         # the first algebra of a pair gets a wrong witness, and the closed
         # forms are made to evaluate its right witness in its place, so only
         # the generic spot check can notice
-        pick = lambda res: res[0] == "E6" and res[3] is F3
+        pick = lambda label, K: label == "E6" and K is F3
         right_of = {}  # raw g^-1 of the wrong witness -> that of the right one
 
         def bad(res):
             w = after(res, SHEARS[1])
-            right_of[w] = res[2]
+            _, _, right_of[w], *_ = res
             return w
 
         evaluate = oracle.transform_evolution_raw
@@ -525,14 +535,15 @@ class TestWitnessCheck:
         for abcd in oracle._abcds(field.order):
             E = EvolutionMsc(field, abcd)
             res = oracle._classify_raw(field, abcd)
+            label, params, ginv, K, *_ = res
             full = classify(E)
-            assert (full.key.label, tuple(p.raw for p in full.key.params)) == res[:2]
-            assert full.witness.ginv.e == res[2] and full.witness_field is res[3]
-            assert oracle._verify_witness(field, abcd, res, 6, targets)
+            assert (full.key.label, tuple(p.raw for p in full.key.params)) == (label, params)
+            assert full.witness.ginv.e == ginv and full.witness_field is K
+            assert verify(field, abcd, res, targets)
             emb, C = canonical_over(field, res)
-            for w in [res[2]] + wrong_witnesses(res):
-                generic = transform(E.over(emb), BasisChange(Mat2(res[3], w))) == C
-                assert oracle._verify_witness(field, abcd, with_witness(res, w), 6, targets) == generic, (abcd, w)
+            for w in [ginv] + wrong_witnesses(res):
+                generic = transform(E.over(emb), BasisChange(Mat2(K, w))) == C
+                assert verify(field, abcd, with_witness(res, w), targets) == generic, (abcd, w)
                 answers.add(generic)
         assert answers == {True, False}
 
