@@ -35,7 +35,7 @@ from .fields import (
     embed,
     find_root,
 )
-from .msc import BasisChange, EvolutionMsc, Mat2, transform
+from .msc import BasisChange, EvolutionMsc, Mat2, transform_evolution_raw
 
 LABELS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6")
 
@@ -257,7 +257,9 @@ def iso_test(E: EvolutionMsc, F: EvolutionMsc) -> BasisChange | None:
     """An explicit basis change carrying E onto F (possibly over a common
     extension field), or None when their keys differ.
 
-    Over Q, raises NeedsExtension when a required witness root is irrational.
+    E's image under the composite, from the closed form of the action on
+    evolution algebras, must equal F, or AssertionError is raised. Over Q,
+    raises NeedsExtension when a required witness root is irrational.
     """
     if E.field is not F.field:
         raise MixedFields("both algebras must share the base field")
@@ -272,7 +274,9 @@ def iso_test(E: EvolutionMsc, F: EvolutionMsc) -> BasisChange | None:
     up = lambda A: A.over(embed(A.field, common))
     # E's witness, then the inverse of F's, over the common field
     composite = BasisChange(up(re.witness.ginv).mul(up(rf.witness.g)))
-    if transform(up(E), composite) != up(F):
+    abcd = tuple(map(embed(E.field, common).raw, E.abcd))
+    a1, a2, a4, b1, b2, b4 = transform_evolution_raw(common, abcd, composite.ginv.e)
+    if ((a1, a2, a2, a4), (b1, b2, b2, b4)) != up(F).rows:
         raise AssertionError("witness composition failed")
     return composite
 

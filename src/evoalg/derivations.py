@@ -4,10 +4,12 @@ A matrix D is a derivation of the algebra with structure constants E when
 E(D (x) I + I (x) D) - DE = 0. The condition is linear in D, so Der(E) is
 the nullspace of an 8x4 exact linear system; `der_solve` builds that system
 from the residuals of the four unit matrices and reduces it by Gaussian
-elimination over the field. The known answers for the canonical
-representatives are exposed by `der_closed_form` as a cross-check, never as
-the computation: one table of generators evaluated in the field, plus E4 in
-characteristic 2 and E3 in characteristic 3.
+elimination over the field. Over Q, rank 4 modulo the fixed prime 2^61 - 1
+proves Der(E) = 0 first; any other outcome takes the exact elimination. The
+known answers for the canonical representatives are exposed by
+`der_closed_form` as a cross-check, never as the computation: one table of
+generators evaluated in the field, plus E4 in characteristic 2 and E3 in
+characteristic 3.
 
 Bases are normalized to reduced row echelon form in the coordinate order
 (x, y, z, t) with leading coefficient 1, so equal subspaces have equal bases.
@@ -18,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import CanonicalKey, UnsupportedKey
-from .fields import FieldCtx, MixedFields
+from .fields import GF, FieldCtx, FieldError, MixedFields
 from .msc import Mat2, Msc
+
+_MOD_P = GF(2**61 - 1)  # the prime of der_solve's rank certificate over Q
 
 
 def _der_residual_raw(E: Msc, De):
@@ -161,7 +165,17 @@ def _unit_residuals(E: Msc) -> tuple:
 
 
 def der_solve(E: Msc) -> DerBasis:
-    """Exact nullspace of the derivation condition for E."""
+    """Exact nullspace of the derivation condition for E. Over Q, rank 4 of
+    the system reduced into GF(P), P = 2^61 - 1, proves Der(E) = 0: reduction
+    is a ring map, so a 4x4 minor nonzero mod P is nonzero over Q (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5). A lower rank mod P,
+    or a denominator that P divides, takes the exact elimination."""
+    if E.field.order is None:
+        try:
+            if len(_rref(zip(*_unit_residuals(Msc.of(_MOD_P, E.rows))), _MOD_P)[1]) == 4:
+                return DerBasis(E.field, ())
+        except FieldError:  # P divides a denominator
+            pass
     system = list(zip(*_unit_residuals(E)))  # 8 rows, one coefficient per unit
     return _basis_from_vectors(E.field, _nullspace(system, E.field))
 

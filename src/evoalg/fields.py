@@ -748,7 +748,7 @@ class _FiniteField(FieldCtx):
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise FieldError(f"{x} has no image in {self}")
-            return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         if isinstance(x, str):
             return self._residue(_parse_fraction(x))
         raise FieldError(f"cannot coerce {x!r} into {self}")
@@ -809,7 +809,7 @@ class PrimeField(_FiniteField):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverting zero in {self}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def descriptor(self):
         return {"kind": "GF", "p": self.p, "k": 1}

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib
 import itertools
 import os
 import pathlib
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from evoalg import (
     GF,
     QQ,
+    BasisChange,
     CanonicalKey,
     EvolutionMsc,
     Fel,
@@ -36,6 +39,8 @@ from evoalg.oracle import brute_iso, gl2_enumerate
 from evoalg.serialize import dumps, result_to_json
 
 from conftest import F3, F4, F5, F7, F9, basis_change_st, evolution_st
+
+CL = importlib.import_module("evoalg.classify")
 
 ALLOWED_TAGS = {"zero", "1.1", "1.2", "1.3", "1.4", "2.1.1", "2.1.2", "2.2.1", "2.2.2", "2.3"}
 
@@ -249,6 +254,115 @@ class TestIsoTest:
     def test_mixed_fields(self):
         with pytest.raises(MixedFields):
             iso_test(canonical_msc(CanonicalKey(F5, "E3")), canonical_msc(CanonicalKey(F7, "E3")))
+
+
+def monomial_pairs(field, rng, n):
+    """n pairs (E, F) with F the image of E under a change of basis
+    e1 -> x e1, e2 -> y e2, half of them with the basis swapped too; over Q
+    only algebras whose witness is rational."""
+
+    def el():
+        if field.order is None:
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        return rng.randrange(field.order)
+
+    pairs = []
+    while len(pairs) < n:
+        E = EvolutionMsc(field, tuple(field.coerce(el()) for _ in range(4)))
+        x, y = el(), el()
+        if not x or not y or classify(E).needs_extension is not None:
+            continue
+        ginv = ((x, 0), (0, y)) if len(pairs) % 2 else ((0, x), (y, 0))
+        pairs.append((E, transform(E, BasisChange.of(field, ginv)).to_evolution()))
+    return pairs
+
+
+def same_key_pairs(algebras, rng, n):
+    """n pairs of distinct algebras with one key, drawn from `algebras`."""
+    bykey = {}
+    for E in algebras:
+        bykey.setdefault(classify(E).key, []).append(E)
+    groups = [g for g in bykey.values() if len(g) > 1]
+    return [tuple(rng.sample(rng.choice(groups), 2)) for _ in range(n)]
+
+
+class TestCompositeCheck:
+    """iso_test checks its composite with the closed form of the action on
+    evolution algebras. On seeded iso pairs, with the true witness of E and
+    with that witness followed by a random change, it accepts exactly when
+    the generic `transform` carries E onto F over the common field."""
+
+    @staticmethod
+    def verdicts(monkeypatch, E, F, m):
+        """(iso_test accepts, transform(up(E), composite) == up(F)) when E's
+        witness is followed by the change with g^-1 = m."""
+        real = CL.classify
+
+        def skewed(alg):
+            res = real(alg)
+            if alg is not E:
+                return res
+            ginv = res.witness.ginv.mul(Mat2.of(res.witness_field, m))
+            return dataclasses.replace(res, witness=BasisChange(ginv))
+
+        re, rf = skewed(E), real(F)
+        common = CL._common_field(re.witness_field, rf.witness_field)
+        up = lambda A: A.over(embed(A.field, common))
+        composite = BasisChange(up(re.witness.ginv).mul(up(rf.witness.g)))
+        generic = transform(up(E), composite) == up(F)
+        monkeypatch.setattr(CL, "classify", skewed)
+        try:
+            got = CL.iso_test(E, F)
+        except AssertionError:
+            return False, generic
+        finally:
+            monkeypatch.undo()
+        assert got == composite
+        return True, generic
+
+    def check(self, monkeypatch, pairs, rng):
+        seen = set()  # verdicts on the skewed witnesses; most are rejected
+        for E, F in pairs:
+            assert self.verdicts(monkeypatch, E, F, ((1, 0), (0, 1))) == (True, True)
+            p = E.field.char or 101
+            while True:
+                m = tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(2))
+                if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p:
+                    break
+            accepts, generic = self.verdicts(monkeypatch, E, F, m)
+            assert accepts == generic, (E, F, m)
+            seen.add(accepts)
+        assert False in seen
+
+    def test_over_q(self, monkeypatch):
+        rng = random.Random(171)
+        self.check(monkeypatch, monomial_pairs(QQ, rng, 30), rng)
+
+    def test_over_gf7(self, monkeypatch):
+        rng = random.Random(172)
+        pairs = monomial_pairs(F7, rng, 20) + same_key_pairs(
+            [EvolutionMsc(F7, tuple(rng.randrange(7) for _ in range(4))) for _ in range(300)], rng, 20
+        )
+        self.check(monkeypatch, pairs, rng)
+
+    def test_e4_over_gf5_in_gf25(self, monkeypatch):
+        rng = random.Random(173)
+        e4 = [EvolutionMsc(F5, (a, b, 0, 0)) for a in range(1, 5) for b in range(1, 5)]
+        e4 += [EvolutionMsc(F5, (0, 0, c, d)) for c in range(1, 5) for d in range(1, 5)]
+        pairs = [
+            (E, F)
+            for E, F in same_key_pairs(e4, rng, 60)
+            if CL._common_field(classify(E).witness_field, classify(F).witness_field).order == 25
+        ]
+        assert len(pairs) >= 20
+        self.check(monkeypatch, pairs, rng)
+
+    def test_e3_over_gf4(self, monkeypatch):
+        rng = random.Random(174)
+        e3 = [EvolutionMsc(F4, (0, b, c, 0)) for b in range(1, 4) for c in range(1, 4)]
+        pairs = list(itertools.combinations(e3, 2))
+        assert {classify(E).witness_field.order for E in e3} == {4, 64}
+        self.check(monkeypatch, pairs, rng)
 
 
 class TestT2Map:

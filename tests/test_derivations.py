@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from evoalg import (
     GF,
     QQ,
+    BasisChange,
     CanonicalKey,
+    EvolutionMsc,
     Fel,
     Mat2,
     MixedFields,
@@ -18,15 +21,26 @@ from evoalg import (
     aut_closed_form,
     aut_instantiate,
     canonical_msc,
+    classify,
     der_check,
     der_closed_form,
     der_solve,
     lie_bracket,
+    transform,
 )
-from evoalg.derivations import _der_residual_raw, _unit_residuals
+from evoalg.derivations import (
+    _MOD_P,
+    _basis_from_vectors,
+    _der_residual_raw,
+    _nullspace,
+    _rref,
+    _unit_residuals,
+)
+from evoalg.fields import FieldError
 from evoalg.oracle import brute_der
+from evoalg.serialize import der_to_json, dumps
 
-from conftest import F2, F3, F4, F5, F7, F9, big_fraction_st
+from conftest import F2, F3, F4, F5, F7, F9, big_fraction_st, big_q_evolution_st
 from test_autgroup import all_keys
 
 
@@ -348,3 +362,135 @@ class TestUnitResidualsClosedForm:
             combo = [f.add(acc, f.mul(c, r)) for acc, r in zip(combo, R)]
         vanishes = all(v == f.zero for v in combo)
         assert vanishes == der_check(E, Mat2(f, (D[:2], D[2:])))
+
+
+def exact_der(E):
+    """The exact elimination of the derivation system, the reference for the
+    certificate modulo P."""
+    return _basis_from_vectors(E.field, _nullspace(list(zip(*_unit_residuals(E))), E.field))
+
+
+def rank_mod_p(E):
+    return len(_rref(zip(*_unit_residuals(Msc.of(_MOD_P, E.rows))), _MOD_P)[1])
+
+
+class TestRankCertificate:
+    """Over Q, der_solve answers Der(E) = 0 from the rank of the system
+    modulo the fixed prime P and otherwise falls back to the exact path."""
+
+    P = _MOD_P.p
+
+    def test_denominator_divisible_by_p_takes_the_exact_path(self):
+        P = self.P
+        cases = [
+            (EvolutionMsc.of(QQ, (0, Fraction(1, P), 3, 0)), 0),  # E3
+            (EvolutionMsc.of(QQ, (Fraction(2, 3 * P), 0, 0, 0)), 1),  # E2(0)
+            (Msc.of(QQ, ((1, Fraction(5, 2 * P), 0, 7), (0, 0, 0, Fraction(-1, P)))), None),
+        ]
+        for E, dim in cases:
+            with pytest.raises(FieldError):
+                Msc.of(_MOD_P, E.rows)
+            got = der_solve(E)
+            assert got == exact_der(E)
+            assert dim is None or got.dim == dim
+
+    def test_p_as_the_e2_parameter(self):
+        # E2(P): Der = 0 over Q, but modulo P it is E2(0) of rank 3
+        E = EvolutionMsc.of(QQ, (1, self.P, 1, 0))
+        assert rank_mod_p(E) == 3
+        assert der_solve(E).dim == 0
+        assert der_solve(E) == exact_der(E)
+
+    @settings(max_examples=200, deadline=None)
+    @given(E=st.one_of(sparse_msc_st(QQ), big_q_evolution_st()))
+    def test_equals_the_exact_elimination(self, E):
+        assert der_solve(E) == exact_der(E)
+
+
+class TestSolveDigest:
+    """`der_to_json(der_solve(E))` over a seeded set, pinned by one sha256:
+    evolution algebras over Q with heights to 10^400 on every trace tag and
+    the zero algebra; the E5, E6 and E2(0) families, whose derivation
+    algebras are not trivial, carried by basis changes; non-evolution
+    structure constants over Q; and algebras over GF(2), GF(7) and GF(3^2)."""
+
+    FINITE = (F2, F7, F9)
+    FAMILIES = (("E5", ()), ("E6", ()), ("E2", (0,)))
+    # recorded with the exact elimination over Q for every system
+    DIGEST = "b47107122dce44fc937e2e417d4f8479dba1f1345828e366ed90f34b52c97ada"
+
+    def algebras(self):
+        rng = random.Random(17)
+
+        def big(digits=400):
+            num = rng.randrange(1, 10 ** rng.randint(1, digits))
+            return Fraction(rng.choice((1, -1)) * num, rng.randrange(1, 10 ** rng.randint(1, digits)))
+
+        def some():
+            return Fraction(0) if rng.random() < 0.3 else big()
+
+        def q_tag(j):
+            a, b, c, d, lam = big(), big(), big(), big(), big()
+            z = Fraction(0)
+            shapes = (
+                (z, z, z, z),  # zero
+                (a, some(), some(), d),  # 1.1
+                (a, b, c, z),  # 1.2
+                (z, b, c, d),  # 1.3
+                (z, b, c, z),  # 1.4
+                (a, b, lam * a, lam * b),  # 2.1.1 -> E4
+                (a, z, lam * a, z),  # 2.1.1 -> E2(0)
+                (z, b, z, lam * b),  # 2.1.1 -> E2(0)
+                (a, -a / (lam * lam), lam * a, -a / lam),  # 2.1.2
+                (a, b, z, z),  # 2.2.1 -> E4
+                (a, z, z, z),  # 2.2.1 -> E2(0)
+                (z, b, z, z),  # 2.2.2
+                (z, z, c, d),  # 2.3
+            )
+            return EvolutionMsc(QQ, shapes[j % len(shapes)])
+
+        def change(f, el):
+            while True:
+                m = Mat2(f, ((el(), el()), (el(), el())))
+                if not m.det().is_zero:
+                    return BasisChange(m)
+
+        def q_family(j):
+            label, params = self.FAMILIES[j % 3]
+            E = canonical_msc(CanonicalKey(QQ, label, params))
+            el = lambda: big(60)
+            if j % 2:  # a monomial change keeps the evolution form
+                x, y = el(), el()
+                ginv = ((x, 0), (0, y)) if j % 4 == 1 else ((0, x), (y, 0))
+                return transform(E, BasisChange.of(QQ, ginv)).to_evolution()
+            return transform(E, change(QQ, el))
+
+        def q_general(j):
+            return Msc(QQ, tuple(tuple(some() for _ in range(4)) for _ in range(2)))
+
+        def finite(j):
+            f = self.FINITE[j % 3]
+            el = lambda: 0 if rng.random() < 0.4 else rng.randrange(f.order)
+            if j % 4 == 0:
+                label, params = self.FAMILIES[j // 4 % 3]
+                return transform(canonical_msc(CanonicalKey(f, label, params)), change(f, el))
+            if j % 2:
+                return EvolutionMsc(f, tuple(el() for _ in range(4)))
+            return Msc(f, tuple(tuple(el() for _ in range(4)) for _ in range(2)))
+
+        makers = (q_tag, q_tag, q_family, q_general, finite, finite)
+        for i in range(2400):
+            yield makers[i % 6](i // 6)
+
+    def test_pinned_digest(self):
+        digest, tags, dims = hashlib.sha256(), set(), set()
+        for E in self.algebras():
+            b = der_solve(E)
+            digest.update(dumps(der_to_json(b)).encode())
+            dims.add((E.field.order, b.dim))
+            if isinstance(E, EvolutionMsc) and E.field is QQ:
+                tags.update(classify(E).trace)
+        assert tags == {"zero", "1.1", "1.2", "1.3", "1.4", "2.1.1", "2.1.2", "2.2.1", "2.2.2", "2.3"}
+        assert {d for o, d in dims if o is None} == {0, 1, 2, 4}
+        assert {o for o, d in dims if d} == {None, 2, 7, 9}
+        assert digest.hexdigest() == self.DIGEST
