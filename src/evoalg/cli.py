@@ -46,7 +46,7 @@ _INPUT_ERRORS = (
 
 
 def _load_json(path: str):
-    if path.strip().startswith("{"):
+    if path.strip().startswith(("{", "[")):
         return json.loads(path)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -153,6 +153,8 @@ def _cmd_verify(args) -> int:
 def _cmd_census(args) -> int:
     if args.jobs < 1:
         raise SchemaError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.max_ext < 1:
+        raise SchemaError(f"--max-ext must be at least 1, got {args.max_ext}")
     f = field_from_json(_load_json(args.field))
     report = census(f, max_witness_ext=args.max_ext, jobs=args.jobs)
     if args.csv:  # first, so a failed write leaves stdout empty

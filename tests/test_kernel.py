@@ -89,14 +89,19 @@ class TestKernelAgainstReference:
         if a:
             assert F.mul(a, F.inv(a)) == 1
 
-    @pytest.mark.parametrize("p,k", WITH_TABLES, ids=lambda v: str(v))
+    @pytest.mark.parametrize("p,k", WITH_TABLES + [(2, 1), (5, 1), (127, 1)], ids=lambda v: str(v))
     def test_tables(self, p, k):
+        # the prime fields' tables serve the census; their own ops stay residues
         F = GF(p, k)
+        add, sub, mul, neg, inv = F.tables
+        ref_mul = (lambda a, b: a * b % p) if k == 1 else (lambda a, b: ref_op(F, "mul", a, b))
         for a, b in itertools.product(range(F.order), repeat=2):
-            assert F.mul(a, b) == ref_op(F, "mul", a, b), (a, b)
-            assert F.add(a, b) == ref_op(F, "add", a, b), (a, b)
-        assert [F.neg(b) for b in range(F.order)] == [ref_op(F, "neg", 0, b) for b in range(F.order)]
-        assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, F.order))
+            assert mul[a][b] == F.mul(a, b) == ref_mul(a, b), (a, b)
+            assert add[a][b] == F.add(a, b) == ref_op(F, "add", a, b), (a, b)
+            assert sub[a][b] == F.sub(a, b) == ref_op(F, "sub", a, b), (a, b)
+        assert neg == [F.neg(b) for b in range(F.order)] == [ref_op(F, "neg", 0, b) for b in range(F.order)]
+        assert inv[0] is None
+        assert all(inv[a] == F.inv(a) and mul[a][inv[a]] == 1 for a in range(1, F.order))
 
     @pytest.mark.parametrize("p", [2, 3, 13])
     def test_reducible_modulus_products(self, p):
@@ -112,6 +117,30 @@ class TestKernelAgainstReference:
                 base,
             )
             assert ring.mul(a, b) == _index(fields_mod._poly_rem(prod, m, base), p)
+
+
+class TestTablesAreLazy:
+    """Only a use of `tables` builds them: no construction, no GF(p)
+    arithmetic and no extension-field arithmetic above _TABLE_MAX does."""
+
+    def test_construction_and_arithmetic(self):
+        prime = fields_mod.PrimeField(127)  # not interned, so no other test touched it
+        ext = fields_mod.ExtensionField(GF(2), (1, 1, 0, 0, 1))  # GF(2^4), x^4 + x + 1
+        big = fields_mod.ExtensionField(GF(2), (1, 1, 0, 1, 1, 0, 0, 0, 1))  # GF(2^8)
+        assert all("tables" not in F.__dict__ for F in (prime, ext, big))
+        for F in (prime, big):
+            a, b = 3, F.order - 2
+            F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a), F.inv(a), F.div(a, b), F.pow_raw(a, 5)
+            assert "tables" not in F.__dict__
+        assert ext.mul(2, 3) == 6 and "tables" in ext.__dict__
+
+    def test_classify_with_a_witness_above_the_tables(self):
+        F = GF(113)
+        for field in (F, GF(113, 2)):
+            field.__dict__.pop("tables", None)
+        res = classify(EvolutionMsc.of(F, (1, 3, 0, 0)))  # 3 is not a square mod 113
+        assert res.key.label == "E4" and res.witness_field is GF(113, 2)
+        assert "tables" not in F.__dict__ and "tables" not in res.witness_field.__dict__
 
 
 class TestDistinctRootStep:

@@ -187,7 +187,7 @@ class TestScalarClassTable:
     @pytest.mark.parametrize("field", FIELDS)
     def test_one_row_per_scalar_class(self, field):
         q = field.order
-        rows = [r[:4] for r in oracle._gl_table(field, oracle._tables(field))]
+        rows = [r[:4] for r in oracle._gl_table(field)]
         assert len(rows) == q * (q * q - 1)
         assert all((x1 or e1) == 1 for x1, e1, _, _ in rows)
         found = set()
@@ -204,11 +204,11 @@ class TestOrbitKernel:
     the generic transform under every scalar multiple of that change."""
 
     def check(self, field, g, abcds):
-        tables = oracle._tables(field)
+        tables = field.tables
         (x1, e1), _ = g.ginv.e
         lead = field.inv(x1 or e1)  # scales g^-1 to its class row
         row = scaled(field, g.ginv.e, lead)
-        gl = [r for r in oracle._gl_table(field, tables) if ((r[0], r[1]), (r[2], r[3])) == row]
+        gl = [r for r in oracle._gl_table(field) if ((r[0], r[1]), (r[2], r[3])) == row]
         assert len(gl) == 1
         changes = [BasisChange(Mat2(field, scaled(field, row, mu))) for mu in range(1, field.order)]
         for abcd in abcds:
@@ -261,6 +261,13 @@ class TestCensus:
         a = dumps(census_to_json(census(F3, 6, jobs=1)))
         b = dumps(census_to_json(census(F3, 6, jobs=2)))
         assert a == b
+
+    def test_two_censuses_share_the_fields_tables(self):
+        F3.__dict__.pop("tables", None)
+        census(F3, 6)
+        tables = F3.__dict__["tables"]
+        census(F3, 6)
+        assert F3.__dict__["tables"] is tables
 
     def test_csv_summary(self):
         rep = census(F2, 6)
