@@ -21,6 +21,12 @@ from .classify import CanonicalKey, UnsupportedKey
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, find_root
 from .msc import BasisChange, Mat2, Msc, transform
 
+_ENUMERATE_MAX = 10_000  # automorphisms listed by one `aut_instantiate`
+
+
+class BudgetExceeded(ValueError):
+    """The requested brute-force computation is beyond desk scale."""
+
 
 def aut_check(E: Msc, g: Mat2) -> bool:
     """True iff g is invertible and gE - E(g (x) g) vanishes entrywise.
@@ -267,11 +273,14 @@ def aut_order(desc: AutDescription) -> int | None:
 def aut_instantiate(desc: AutDescription, field: FieldCtx) -> list:
     """All automorphisms of the description with entries in the given finite
     field: the finite elements that lie in it plus every admissible family
-    member. Duplicate-free, deterministic order."""
+    member. Duplicate-free, deterministic order. A group of more than
+    `_ENUMERATE_MAX` elements is refused."""
     if field is not desc.base_field:
         raise MixedFields("instantiation field must be the description's base field")
     if field.order is None:
         raise InfiniteField("cannot enumerate over an infinite field")
+    if (n := aut_order(desc)) > _ENUMERATE_MAX:
+        raise BudgetExceeded(f"listing {n} automorphisms over {field} refused (more than {_ENUMERATE_MAX})")
     f = field
     out = list(_base_field_elements(desc))
     for fam in desc.families:

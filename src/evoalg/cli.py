@@ -45,11 +45,30 @@ _INPUT_ERRORS = (
 )
 
 
+_JSON_MAX_DEPTH = 64  # nested arrays and objects; the schemas here need far fewer
+
+
+def _parse_json(text: str):
+    # json's own depth limit depends on the interpreter, so every document
+    # past the bound is refused here, parsed or not
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        pass
+    else:
+        level = [doc]
+        for _ in range(_JSON_MAX_DEPTH):
+            level = [v for x in level if isinstance(x, (list, dict)) for v in (x.values() if isinstance(x, dict) else x)]
+        if not any(isinstance(x, (list, dict)) for x in level):
+            return doc
+    raise SchemaError(f"JSON document nested deeper than {_JSON_MAX_DEPTH} levels")
+
+
 def _load_json(path: str):
     if path.strip().startswith(("{", "[")):
-        return json.loads(path)
+        return _parse_json(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read())
 
 
 def _load_evolution(path: str):
@@ -175,7 +194,7 @@ def _cmd_t2map(args) -> int:
 def _maybe_json(s: str):
     s = s.strip()
     if s.startswith("["):
-        return json.loads(s)
+        return _parse_json(s)
     return s
 
 
@@ -227,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="orbit census with brute-force cross-checks")
     p.add_argument("--field", required=True, help="field descriptor JSON (path or inline)")
     p.add_argument("--max-ext", type=int, default=6, help="witness extension budget")
-    p.add_argument("--jobs", type=int, default=1, help="processes, this one included (at most the CPU count)")
+    p.add_argument("--jobs", type=int, default=1, help="upper bound on processes, this one included (also at most the CPU count and one per 8192 algebras)")
     p.add_argument("--csv", help="also write a CSV summary to this path")
     p.set_defaults(fn=_cmd_census)
 

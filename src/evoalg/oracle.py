@@ -28,7 +28,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .autgroup import aut_check, aut_closed_form, aut_instantiate
+from .autgroup import BudgetExceeded, aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, _classify_raw, canonical_msc
 from .derivations import _unit_residuals, der_solve, der_closed_form
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed
@@ -36,10 +36,7 @@ from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform, transform_evol
 
 _GL_MAX_ORDER = 32  # enumeration scans q^4 matrices
 _CENSUS_MAX_ORDER = 16
-
-
-class BudgetExceeded(ValueError):
-    """The requested brute-force computation is beyond desk scale."""
+_MIN_CHUNK = 8192  # census algebras per process below which a fork costs more than it saves
 
 
 def _check_scan(field: FieldCtx, what: str):
@@ -314,8 +311,10 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
                           fixes C under each of them
       der_closed_form_ok  solver, closed forms and derivation scans agree
 
-    `jobs` counts the processes, this one included, clamped to [1, CPU
-    count]; the result is deterministic and independent of it.
+    `jobs` is an upper bound on the processes, this one included: it is
+    clamped to [1, CPU count] and to one process per `_MIN_CHUNK` algebras,
+    so fields below GF(13) run in this process and never fork. The result is
+    deterministic and independent of it.
     """
     if field.order is None:
         raise InfiniteField("census needs a finite field")
@@ -324,7 +323,7 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
         raise BudgetExceeded(f"census over {field} refused (order {q} > {_CENSUS_MAX_ORDER})")
     F = field
     total = q**4
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = max(1, min(jobs, os.cpu_count() or 1, total // _MIN_CHUNK))
 
     # phase 1: classify + witness verification, partitionable over processes
     raw_results = _phase1(F, total, jobs, max_witness_ext)

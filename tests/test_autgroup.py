@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from evoalg import (
+    GF,
     QQ,
+    BudgetExceeded,
     CanonicalKey,
     Fel,
     Mat2,
@@ -18,6 +20,7 @@ from evoalg import (
     aut_order,
     canonical_msc,
 )
+from evoalg import autgroup
 from evoalg.fields import InfiniteField
 from evoalg.oracle import brute_aut
 from evoalg.serialize import el_from_json, field_from_json
@@ -160,6 +163,22 @@ class TestInstantiate:
         desc = aut_closed_form(CanonicalKey(QQ, "E5"), QQ)
         with pytest.raises(InfiniteField):
             aut_instantiate(desc, QQ)
+
+    def test_listing_bounded_by_the_order(self, monkeypatch):
+        # E6 over GF(7) has 42 automorphisms: listed at a bound of 42, refused
+        # below it without listing any
+        desc = aut_closed_form(CanonicalKey(F7, "E6"), F7)
+        monkeypatch.setattr(autgroup, "_ENUMERATE_MAX", 42)
+        assert len(aut_instantiate(desc, F7)) == aut_order(desc) == 42
+        monkeypatch.setattr(autgroup, "_ENUMERATE_MAX", 41)
+        with pytest.raises(BudgetExceeded, match="listing 42 automorphisms over GF.7. refused"):
+            aut_instantiate(desc, F7)
+
+    def test_e6_over_gf_101_refused(self):
+        # q(q - 1) = 10,100 members, just past the bound of 10,000
+        F = GF(101)
+        with pytest.raises(BudgetExceeded):
+            aut_instantiate(aut_closed_form(CanonicalKey(F, "E6"), F), F)
 
     def test_duplicate_free(self):
         for field in (F3, F4, F5, F9):

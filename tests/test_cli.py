@@ -219,6 +219,29 @@ class TestMalformedDocuments:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"evoalg: bad field descriptor {field!r}: p, k and the modulus coefficients are integers"]
 
+    @pytest.mark.parametrize("levels", [1500, 100_000])
+    @pytest.mark.parametrize("where", ["inline", "file", "param"])
+    def test_nesting_past_the_bound(self, capsys, tmp_path, where, levels):
+        # json's decoder refuses 1,500 levels on some interpreters and parses
+        # them on others; 100,000 pass its limit everywhere. Both end in the
+        # same one-line refusal.
+        deep = "[" * levels + "]" * levels
+        alg = '{"field":{"kind":"Q"},"msc":' + deep + "}"
+        if where == "file":
+            (tmp_path / "deep.json").write_text(alg)
+            alg = str(tmp_path / "deep.json")
+        argv = ["t2map", "--label", "E6c", "--param", deep] if where == "param" else ["classify", "-a", alg]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["evoalg: JSON document nested deeper than 64 levels"]
+
+    @pytest.mark.parametrize("open_,close", [("[", "]"), ('{"a":', "}")])
+    def test_nesting_bound_is_exact(self, open_, close):
+        at_bound = open_ * 64 + "0" * (open_ == '{"a":') + close * 64
+        assert cli._parse_json(at_bound) == json.loads(at_bound)
+        with pytest.raises(cli.SchemaError, match="deeper than 64 levels"):
+            cli._parse_json(open_ + at_bound + close)
+
     def test_gf_2_800_refused_within_5_s(self, capsys):
         alg = json.dumps({"field": {"kind": "GF", "p": 2, "k": 800}, "msc": [1, 0, 0, 1]})
         start = time.perf_counter()
@@ -362,6 +385,16 @@ class TestAut:
             {"entries": [["t^2", "s"], ["0", "t"]], "excluded": ["t != 0"]}
         ]
         assert doc["order_over_field"] is None
+
+    def test_enumerate_past_the_bound_refused(self, capsys):
+        # E6 over GF(251) has q(q - 1) = 62,750 automorphisms; counting them
+        # is instant, listing them would print 11 MB
+        alg = '{"field":{"kind":"GF","p":251,"k":1},"msc":[0,1,0,0]}'
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "aut", "-a", alg, "--enumerate")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["evoalg: listing 62750 automorphisms over GF(251) refused (more than 10000)"]
 
     def test_enumerate_over_q_rejected(self, capsys):
         code, _, err = invoke(

@@ -40,6 +40,53 @@ class ChunkFailure(RuntimeError):
     """Raised on purpose inside a census chunk."""
 
 
+@pytest.fixture
+def fake_fork(monkeypatch):
+    """The census's fork context replaced by a fake that records the children
+    started and runs their chunks in this process, so no large jobs value
+    ever reaches the OS; returns the list of children started."""
+    import multiprocessing
+
+    started = []
+
+    class FakePipe(list):
+        """Both ends of a pipe held in memory, so a chunk of any size is sent
+        without a reader."""
+
+        send = list.append
+
+        def recv(self):
+            return self.pop(0)
+
+        def close(self):
+            pass
+
+    class FakeProcess:
+        def __init__(self, target, args, daemon):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    class FakeContext:
+        Process = FakeProcess
+
+        @staticmethod
+        def Pipe(duplex):
+            end = FakePipe()
+            return end, end
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    return started
+
+
 class TestGL2:
     @pytest.mark.parametrize("field,count", [(F2, 6), (F3, 48), (F4, 180), (F5, 480), (F7, 2016)])
     def test_counts(self, field, count):
@@ -257,7 +304,8 @@ class TestCensus:
             for E in r.orbit_representatives:
                 assert classify(E).key == r.key
 
-    def test_jobs_do_not_change_the_output(self):
+    def test_jobs_do_not_change_the_output(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
         a = dumps(census_to_json(census(F3, 6, jobs=1)))
         b = dumps(census_to_json(census(F3, 6, jobs=2)))
         assert a == b
@@ -300,6 +348,7 @@ class TestCensus:
     def test_jobs2_matches_golden_with_cold_and_warm_caches(self, monkeypatch, p, k):
         # forked workers inherit the parent's root and default-modulus caches,
         # so a census must not depend on what they hold
+        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
         golden = (Path(__file__).parent / "data" / f"census_gf{p**k}.json").read_text()
         fields._finite_root.cache_clear()
         for key in [key for key in fields._FIELDS if key[0] == "GF" and len(key) == 3]:
@@ -309,32 +358,9 @@ class TestCensus:
         assert dumps(census_to_json(census(F, jobs=1))) == golden
         assert dumps(census_to_json(census(F, jobs=2))) == golden
 
-    def test_jobs_capped_at_the_cpu_count(self, monkeypatch):
-        # a fake context records the children started and runs their chunks
-        # in this process, so no large jobs value ever reaches the OS
-        import multiprocessing
-
-        started = []
-
-        class FakeProcess:
-            def __init__(self, target, args, daemon):
-                self.target, self.args = target, args
-
-            def start(self):
-                started.append(self)
-                self.target(*self.args)
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        class FakeContext:
-            Process = FakeProcess
-            Pipe = staticmethod(multiprocessing.Pipe)
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    def test_jobs_capped_at_the_cpu_count(self, monkeypatch, fake_fork):
+        started = fake_fork
+        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         golden = (Path(__file__).parent / "data" / "census_gf3.json").read_text()
         assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
@@ -342,6 +368,29 @@ class TestCensus:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
         assert len(started) == 2
+
+    @pytest.mark.parametrize("p", [5, 11])
+    def test_jobs_capped_by_the_grain(self, monkeypatch, fake_fork, p):
+        # below two grains of algebras a census runs in this process: GF(11)
+        # has 14,641, GF(13) 28,561
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        golden = (Path(__file__).parent / "data" / f"census_gf{p}.json").read_text()
+        assert dumps(census_to_json(census(GF(p), jobs=2))) == golden
+        assert fake_fork == []
+
+    def test_gf13_forks_once_and_matches_golden(self, monkeypatch):
+        import multiprocessing
+
+        # the fork context is one shared object, so the census starts its
+        # children through this wrapper
+        ctx, started = multiprocessing.get_context("fork"), []
+        process = ctx.Process
+        monkeypatch.setattr(ctx, "Process", lambda **kw: started.append(kw) or process(**kw))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        golden = (Path(__file__).parent / "data" / "census_gf13.json").read_text()
+        assert dumps(census_to_json(census(GF(13), jobs=2))) == golden
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
 
     def test_jobs_below_one_run_in_this_process(self):
         golden = (Path(__file__).parent / "data" / "census_gf3.json").read_text()
@@ -368,6 +417,7 @@ class TestCensus:
             raise TimeoutError("census did not return")
 
         monkeypatch.setattr(oracle, "_phase1_chunk", failing_chunk)
+        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(30)
