@@ -67,8 +67,11 @@ def _parse_json(text: str):
 def _load_json(path: str):
     if path.strip().startswith(("{", "[")):
         return _parse_json(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_json(fh.read())
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _load_evolution(path: str):

@@ -10,17 +10,15 @@ changes fixing it, so the closed-form automorphism groups are compared with
 these stabilizers, and the classifier and the derivation solver with the
 orbits and the derivation scans.
 
-The census's loops run over the field's own `tables`. A scalar g^-1 = mu I
-carries every algebra A to mu A, so the orbit pass visits one g^-1 per scalar
-class, q(q^2 - 1) of them: it evaluates the closed forms of
-`msc.transform_evolution`, drops an image as soon as a middle entry is
-nonzero, and scales each image that survives by the q - 1 units. The
-derivation scan solves the derivation condition, which is linear in the
-matrix, as a table lookup per (x, y, z), one per scalar class. Every
-stabilizer element is checked again through `aut_check`, the generic
-product, so the oracle does not rest on the closed forms alone. Witnesses
-are checked by the closed forms on raw entries, and once per witness field
-and key through the generic `transform`.
+The census's loops run over the field's own `tables` (see `_orbit_raw` and
+`_der_scan_raw`). Every stabilizer element is checked again through
+`aut_check`, the generic product, so the oracle does not rest on the closed
+forms alone. Witnesses are checked by the closed forms on raw entries, and
+once per witness field and key through the generic `transform`. The census
+carries each algebra, and each stabilizer element g^-1, as one integer index
+(`_index`), so its partition is one list of orbit ids over the q^4 indices;
+entries are decoded (`_entries`) only for phase 1, the orbit kernel and the
+representatives, and the closed-form automorphisms are encoded instead.
 """
 from __future__ import annotations
 
@@ -151,12 +149,6 @@ class CensusReport:
         return all(self.flags.values())
 
 
-def _abcds(q: int) -> list:
-    """Every (a, b, c, d) over a field of order q in index order, the index
-    being a + q b + q^2 c + q^3 d."""
-    return [v[::-1] for v in itertools.product(range(q), repeat=4)]
-
-
 def _verify_witness(F: FieldCtx, abcd, label, params, ginv, K, max_ext: int, targets: dict) -> bool:
     """The raw witness ginv over K of `_classify_raw(F, abcd)`, with raw key
     (label, params), lands on the canonical form within the allowed extension
@@ -178,13 +170,16 @@ def _verify_witness(F: FieldCtx, abcd, label, params, ginv, K, max_ext: int, tar
 
 def _phase1_chunk(F: FieldCtx, lo: int, hi: int, max_ext: int):
     """Classify and witness-check the evolution algebras over F with indices
-    [lo, hi) on raw entries; returns plain picklable tuples."""
-    targets: dict = {}
-    out = []
-    for abcd in _abcds(F.order)[lo:hi]:
+    [lo, hi) on raw entries. Returns whether every witness held and the raw
+    key (label, params) of each algebra, one shared tuple per distinct key."""
+    targets, shared = {}, {}
+    ok, keys = True, []
+    for i in range(lo, hi):
+        abcd = _entries(F.order, i)
         label, params, ginv, K, *_ = _classify_raw(F, abcd)
-        out.append((label, params, _verify_witness(F, abcd, label, params, ginv, K, max_ext, targets)))
-    return out
+        keys.append(shared.setdefault((label, params), (label, params)))
+        ok &= _verify_witness(F, abcd, label, params, ginv, K, max_ext, targets)
+    return ok, keys
 
 
 def _phase1_child(conn, *chunk):
@@ -195,7 +190,7 @@ def _phase1_child(conn, *chunk):
         conn.send(e)
 
 
-def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> list:
+def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> tuple:
     """`_phase1_chunk` over all `total` algebras in `jobs` chunks: the first
     in this process, one in each of `jobs - 1` forked children. Every pipe is
     read before any join, and a child's exception is raised here."""
@@ -212,7 +207,7 @@ def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> list:
             proc.start()
             children.append((proc, recv))
             send.close()
-        out = _phase1_chunk(F, 0, total // jobs, max_ext)
+        ok, keys = _phase1_chunk(F, 0, total // jobs, max_ext)
         sent = [recv.recv() for _, recv in children]
     finally:
         # a child has nothing left to do once its chunk is read, and none
@@ -224,8 +219,9 @@ def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> list:
     for chunk in sent:
         if isinstance(chunk, Exception):
             raise chunk
-        out += chunk
-    return out
+        ok &= chunk[0]
+        keys += chunk[1]
+    return ok, keys
 
 
 def _gl_table(f: FieldCtx) -> list:
@@ -250,9 +246,21 @@ def _gl_table(f: FieldCtx) -> list:
     return out
 
 
+def _index(q: int, a: int, b: int, c: int, d: int) -> int:
+    """The census index of the raw entries (a, b, c, d) of an evolution algebra,
+    or of a g^-1 = ((a, b), (c, d)), over a field of order q."""
+    return a + q * (b + q * (c + q * d))
+
+
+def _entries(q: int, i: int) -> tuple:
+    """The raw entries (a, b, c, d) of census index i: the inverse of `_index`."""
+    return i % q, i // q % q, i // (q * q) % q, i // (q * q * q)
+
+
 def _orbit_raw(tables, gl, abcd):
-    """Evolution images of one evolution algebra under the census class table
-    `gl` (see `_gl_table`), and the g^-1 whose change fixes it.
+    """Census indices of the evolution images of one evolution algebra under
+    the census class table `gl` (see `_gl_table`), and those of the g^-1 whose
+    change fixes it.
 
     Each image comes from the closed forms of `msc.transform_evolution`; an
     image is dropped as soon as its middle entry a2, then b2, is nonzero, which
@@ -261,8 +269,9 @@ def _orbit_raw(tables, gl, abcd):
     times its image under g^-1; so each class that passes them yields the q-1
     images mu m, and mu g^-1 fixes the algebra where mu m is it."""
     add, sub, mul, *_ = tables
-    units = mul[1:]
+    q, units = len(mul), mul[1:]
     a, b, c, d = abcd
+    seed = _index(q, a, b, c, d)
     ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
     members, stab = set(), []
     for x1, e1, x2, e2, xe1, xe2, xx1, xx2, ee1, ee2, di in gl:
@@ -279,10 +288,10 @@ def _orbit_raw(tables, gl, abcd):
         m2 = di[add[xx1[v1]][xx2[v2]]]
         m3 = di[add[ee1[v1]][ee2[v2]]]
         for mu in units:
-            m = (mu[m0], mu[m1], mu[m2], mu[m3])
+            m = _index(q, mu[m0], mu[m1], mu[m2], mu[m3])
             members.add(m)
-            if m == abcd:
-                stab.append(((mu[x1], mu[e1]), (mu[x2], mu[e2])))
+            if m == seed:
+                stab.append(_index(q, mu[x1], mu[e1], mu[x2], mu[e2]))
     return members, stab
 
 
@@ -326,57 +335,45 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     jobs = max(1, min(jobs, os.cpu_count() or 1, total // _MIN_CHUNK))
 
     # phase 1: classify + witness verification, partitionable over processes
-    raw_results = _phase1(F, total, jobs, max_witness_ext)
-
-    keys = [(label, params) for label, params, _ in raw_results]  # raw keys, index order
-    witnesses_ok = all(ok for _, _, ok in raw_results)
+    witnesses_ok, keys = _phase1(F, total, jobs, max_witness_ext)  # raw keys, index order
     canon = {rk: CanonicalKey(F, rk[0], tuple(Fel(F, p) for p in rk[1])) for rk in set(keys)}
     by_sort_key = lambda rk: canon[rk].sort_key()
 
     # phase 2: orbit partition of the evolution subset under the full group,
     # seeded from each key's canonical representative, then the rest in index
     # order
-    tables = F.tables
-    gl = _gl_table(F)
-    abcds = _abcds(q)
-    index_of = {abcd: idx for idx, abcd in enumerate(abcds)}
-    assigned: set[tuple] = set()
-    orbits: list[tuple] = []  # (members, raw key)
-    aut_of: dict[tuple, list] = {}  # raw key -> raw g^-1 fixing its representative
-    shared = False  # some canonical representative lies in an earlier seed's orbit
-    for rk in sorted(canon, key=by_sort_key):
-        C = canonical_msc(canon[rk]).abcd
-        members, aut_of[rk] = _orbit_raw(tables, gl, C)
-        if C in assigned:
-            shared = True
+    tables, gl = F.tables, _gl_table(F)
+    aut_of: dict[tuple, list] = {}  # raw key -> indices of the g^-1 fixing its representative
+    orbit_of = [-1] * total  # orbit id of each algebra: the index its orbit was seeded from
+    orbits: dict[tuple, list] = {}  # raw key -> (smallest member, size) of each of its orbits
+
+    def seeds():
+        for rk in sorted(canon, key=by_sort_key):
+            C = canonical_msc(canon[rk]).abcd
+            members, aut_of[rk] = _orbit_raw(tables, gl, C)
+            yield _index(q, *C), members, rk
+        for i in range(total):
+            if orbit_of[i] < 0:
+                yield i, _orbit_raw(tables, gl, _entries(q, i))[0], keys[i]
+
+    keys_vs_orbits_ok = True
+    for seed, members, rk in seeds():
+        if orbit_of[seed] >= 0:  # a canonical representative in an earlier seed's orbit
+            keys_vs_orbits_ok = False
             continue
-        orbits.append((members, rk))
-        assigned |= members
-    for abcd in abcds:
-        if abcd not in assigned:
-            members = _orbit_raw(tables, gl, abcd)[0]
-            orbits.append((members, keys[index_of[abcd]]))
-            assigned |= members
-    keys_vs_orbits_ok = (
-        not shared
-        and len(assigned) == sum(len(members) for members, _ in orbits) == total
-        and all(keys[index_of[m]] == rk for members, rk in orbits for m in members)
-    )
+        for m in members:
+            if orbit_of[m] >= 0 or keys[m] != rk:  # in an earlier orbit, or of another key
+                keys_vs_orbits_ok = False
+            orbit_of[m] = seed
+        orbits.setdefault(rk, []).append((min(members), len(members)))
+    keys_vs_orbits_ok &= -1 not in orbit_of
 
-    # phase 3: per-key aggregation, each orbit represented by its smallest
-    # member in index order, and oracle comparisons
-    reps = sorted((min(map(index_of.__getitem__, members)), len(members), rk) for members, rk in orbits)
-    by_key: dict[tuple, dict] = {}
-    for rep, size, rk in reps:
-        slot = by_key.setdefault(rk, {"reps": [], "size": 0})
-        slot["reps"].append(rep)
-        slot["size"] += size
-
-    aut_ok = True
-    der_ok = True
+    # phase 3: per-key records, each orbit represented by its smallest member,
+    # in index order, and oracle comparisons
+    aut_ok = der_ok = True
     records = []
-    for rk in sorted(by_key, key=by_sort_key):
-        k = canon[rk]
+    for rk in sorted(orbits, key=by_sort_key):
+        k, reps = canon[rk], sorted(orbits[rk])
         C = canonical_msc(k)
         solved = der_solve(C)
         if _der_scan_raw(C) != sorted(_span_raw(tables, solved.vectors())):
@@ -384,17 +381,17 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
         stab = set(aut_of[rk])
         if k.label != "E0":
             inst = aut_instantiate(aut_closed_form(k, F), F)
-            # the stabilizer against the closed forms, and again through the
-            # generic product
-            if {m.e for m in inst} != stab or not all(aut_check(C, Mat2(F, m)) for m in stab):
+            # the stabilizer against the closed forms, and, the two being
+            # equal, again through the generic product
+            if {_index(q, *m.e[0], *m.e[1]) for m in inst} != stab or not all(aut_check(C, m) for m in inst):
                 aut_ok = False
             if der_closed_form(k, F) != solved:
                 der_ok = False
         records.append(
             CensusRecord(
                 key=k,
-                orbit_representatives=tuple(EvolutionMsc(F, abcds[rep]) for rep in by_key[rk]["reps"]),
-                orbit_size_in_evolution_subset=by_key[rk]["size"],
+                orbit_representatives=tuple(EvolutionMsc(F, _entries(q, rep)) for rep, _ in reps),
+                orbit_size_in_evolution_subset=sum(size for _, size in reps),
                 brute_aut_order=len(stab),
                 der_dim=solved.dim,
             )

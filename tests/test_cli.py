@@ -235,6 +235,17 @@ class TestMalformedDocuments:
         assert (code, out) == (1, "")
         assert err.splitlines() == ["evoalg: JSON document nested deeper than 64 levels"]
 
+    @pytest.mark.parametrize("cmd", ["classify", "census"])
+    def test_file_not_utf8(self, capsys, tmp_path, cmd):
+        # a UTF-16 byte-order mark is no valid UTF-8
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"kind":"Q"}')
+        argv = ["census", "--field", str(path)] if cmd == "census" else ["classify", "-a", str(path)]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evoalg:"), lines
+
     @pytest.mark.parametrize("open_,close", [("[", "]"), ('{"a":', "}")])
     def test_nesting_bound_is_exact(self, open_, close):
         at_bound = open_ * 64 + "0" * (open_ == '{"a":') + close * 64

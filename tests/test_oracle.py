@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -262,10 +263,12 @@ class TestOrbitKernel:
             E = EvolutionMsc(field, abcd)
             images = [transform(E, h) for h in changes]
             members, stab = oracle._orbit_raw(tables, gl, abcd)
+            members = {oracle._entries(field.order, m) for m in members}
+            stab = [oracle._entries(field.order, g) for g in stab]
             if is_evolution(images[0]):
                 assert all(is_evolution(im) for im in images)
                 assert members == {im.to_evolution().abcd for im in images}
-                assert stab == [h.ginv.e for h, im in zip(changes, images) if im == E]
+                assert stab == [h.ginv.e[0] + h.ginv.e[1] for h, im in zip(changes, images) if im == E]
             else:
                 assert not any(is_evolution(im) for im in images)
                 assert members == set() and stab == []
@@ -343,6 +346,26 @@ class TestCensus:
         # the census JSON must not change with the census's implementation
         golden = Path(__file__).parent / "data" / f"census_gf{p**k}.json"
         assert dumps(census_to_json(census(GF(p, k)))) == golden.read_text()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "p,k,keys,digest",
+        [(5, 2, 342, "26ac31547d5c73125325c75e428b446f0cbe67f98f635714eebf49c0d9f036d1"),
+         (3, 3, 396, "49994ced2e642906783a84a1ecf0c5d0b1f8115e408e74dedce9f51d927d4a4e")],
+    )
+    def test_past_the_cap_pinned_digest(self, monkeypatch, p, k, keys, digest):
+        # GF(25) is the first extension of characteristic >= 5, and GF(27) an
+        # odd-degree extension of characteristic 3 without the cube roots of
+        # unity; both lie past the public cap, raised here for this one call.
+        # The digests were recorded with the census that carried algebras as
+        # (a, b, c, d) tuples.
+        monkeypatch.setattr(oracle, "_CENSUS_MAX_ORDER", p**k)
+        rep = census(GF(p, k))
+        assert rep.flags == dict.fromkeys(
+            ["keys_vs_orbits_ok", "witnesses_ok", "aut_closed_form_ok", "der_closed_form_ok"], True
+        )
+        assert len(rep.records) == keys
+        assert hashlib.sha256(dumps(census_to_json(rep)).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (2, 3), (3, 2)])
     def test_jobs2_matches_golden_with_cold_and_warm_caches(self, monkeypatch, p, k):
@@ -438,16 +461,38 @@ class TestCensus:
         assert not rep.flags["keys_vs_orbits_ok"]
         assert not rep.ok
 
+    def test_leaked_index_of_another_key_clears_flags(self, monkeypatch):
+        # the orbit kernel puts the last algebra, (2, 2, 2, 2), into the zero
+        # algebra's orbit as well: an orbit holding an algebra of another key,
+        # and an algebra in two orbits, must show in the flags, not raise
+        kernel, zero, last = oracle._orbit_raw, (0, 0, 0, 0), oracle._index(3, 2, 2, 2, 2)
+        leaked = []
+
+        def leaking_kernel(tables, gl, abcd):
+            members, stab = kernel(tables, gl, abcd)
+            if abcd != zero:
+                return members, stab
+            leaked.append(abcd)
+            return members | {last}, stab
+
+        monkeypatch.setattr(oracle, "_orbit_raw", leaking_kernel)
+        assert classify(EvolutionMsc(F3, (2, 2, 2, 2))).key.label != "E0"
+        rep = census(F3, 6)
+        assert leaked
+        assert not rep.flags["keys_vs_orbits_ok"]
+        assert rep.flags["witnesses_ok"] and rep.flags["aut_closed_form_ok"] and rep.flags["der_closed_form_ok"]
+
     def test_spot_check_catches_a_wrong_stabilizer_element(self, monkeypatch):
         # the orbit kernel also accepts a shear for every seed (over GF(3) it
         # is an automorphism of E0 and E6 only), and the closed forms are made
         # to agree with it, so only the generic-product spot check can notice
         bad = Mat2.of(F3, ((1, 1), (0, 1)))
+        bad_index = oracle._index(3, *bad.e[0], *bad.e[1])
         kernel, instantiate = oracle._orbit_raw, oracle.aut_instantiate
 
         def wrong_kernel(tables, gl, abcd):
             members, stab = kernel(tables, gl, abcd)
-            return members, stab if bad.e in stab else stab + [bad.e]
+            return members, stab if bad_index in stab else stab + [bad_index]
 
         monkeypatch.setattr(oracle, "_orbit_raw", wrong_kernel)
         monkeypatch.setattr(oracle, "aut_instantiate", lambda cf, f: instantiate(cf, f) + [bad])
@@ -519,7 +564,7 @@ class TestWitnessCheck:
         canonical form it should have been. An algebra that is not the first
         of its (witness field, key) pair never goes through the generic spot
         check, so only the closed forms can catch it."""
-        abcds = oracle._abcds(field.order)
+        abcds = [oracle._entries(field.order, i) for i in range(field.order**4)]
         ress = [oracle._classify_raw(field, abcd) for abcd in abcds]
         i = (max if last else min)(i for i, (l, _, _, k, *_) in enumerate(ress) if pick(l, k))
         label, params, _, K, *_ = ress[i]
@@ -589,7 +634,8 @@ class TestWitnessCheck:
         # closed forms alone; classify wraps the same raw output
         targets: dict = {}
         answers = set()
-        for abcd in oracle._abcds(field.order):
+        q = field.order
+        for abcd in (oracle._entries(q, i) for i in range(q**4)):
             E = EvolutionMsc(field, abcd)
             res = oracle._classify_raw(field, abcd)
             label, params, ginv, K, *_ = res
