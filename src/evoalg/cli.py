@@ -68,7 +68,7 @@ def _load_json(path: str):
     if path.strip().startswith(("{", "[")):
         return _parse_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is ignored (RFC 8259 8.1)
             return _parse_json(fh.read())
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None

@@ -13,12 +13,14 @@ orbits and the derivation scans.
 The census's loops run over the field's own `tables` (see `_orbit_raw` and
 `_der_scan_raw`). Every stabilizer element is checked again through
 `aut_check`, the generic product, so the oracle does not rest on the closed
-forms alone. Witnesses are checked by the closed forms on raw entries, and
-once per witness field and key through the generic `transform`. The census
-carries each algebra, and each stabilizer element g^-1, as one integer index
-(`_index`), so its partition is one list of orbit ids over the q^4 indices;
-entries are decoded (`_entries`) only for phase 1, the orbit kernel and the
-representatives, and the closed-form automorphisms are encoded instead.
+forms alone. Witnesses are checked by the closed forms on raw entries, on
+the witness field's tables up to order _TABLE_MAX and by field methods above
+it, and once per witness field and key through the generic `transform`. The
+census carries each algebra, and each stabilizer element g^-1, as one
+integer index (`_index`), so its partition is one list of orbit ids over the
+q^4 indices; entries are decoded (`_entries`) only for phase 1, the orbit
+kernel and the representatives, and the closed-form automorphisms are
+encoded instead.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from .autgroup import BudgetExceeded, aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, _classify_raw, canonical_msc
 from .derivations import _unit_residuals, der_solve, der_closed_form
-from .fields import Fel, FieldCtx, InfiniteField, MixedFields, embed
+from .fields import _TABLE_MAX, Fel, FieldCtx, InfiniteField, MixedFields, embed
 from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform, transform_evolution_raw
 
 _GL_MAX_ORDER = 32  # enumeration scans q^4 matrices
@@ -93,11 +95,12 @@ def brute_der(E: Msc, field: FieldCtx) -> list:
     if E.field is not field:
         raise MixedFields("structure constants must lie in the scanned field")
     _check_scan(field, "derivation scan")
-    return [Mat2(field, ((x, y), (z, t))) for x, y, z, t in _der_scan_raw(E)]
+    return [Mat2(field, ((x, y), (z, t))) for x, y, z, t in sorted(_der_scan_raw(E))]
 
 
-def _der_scan_raw(E: Msc) -> list:
-    """`brute_der` as sorted raw (x, y, z, t) tuples, over the field tables.
+def _der_scan_raw(E: Msc) -> set:
+    """`brute_der` as a set of raw (x, y, z, t) tuples, over the field tables;
+    `brute_der` sorts it into `itertools.product` order.
 
     The residual is linear in D: it is x R1 + y R2 + z R3 + t R4 for the
     residuals R1..R4 of the four unit matrices. The t values are grouped by
@@ -113,13 +116,13 @@ def _der_scan_raw(E: Msc) -> list:
     cancel: dict[tuple, list] = {}  # -t R4 -> the t giving it
     for t in range(q):
         cancel.setdefault(tuple(neg[v] for v in R4[t]), []).append(t)
-    out = set()
+    out, scaled = set(), [row[1:] for row in mul]  # scaled[c]: c times every unit
     for x, y in [(0, 0), (0, 1)] + [(1, y) for y in range(q)]:
-        xy = [add[u][v] for u, v in zip(R1[x], R2[y])]
+        xy = [add[add[u][v]] for u, v in zip(R1[x], R2[y])]  # add-table rows of x R1 + y R2
         for z in range(2 if x == y == 0 else q):
-            for t in cancel.get(tuple(add[u][v] for u, v in zip(xy, R3[z])), ()):
-                out.update((m[x], m[y], m[z], m[t]) for m in mul[1:])
-    return sorted(out)
+            for t in cancel.get(tuple(map(list.__getitem__, xy, R3[z])), ()):
+                out.update(zip(scaled[x], scaled[y], scaled[z], scaled[t]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +152,46 @@ class CensusReport:
         return all(self.flags.values())
 
 
+def _image_raw(tables, abcd, ginv) -> tuple:
+    """`msc.transform_evolution_raw` by the same closed forms on a field's
+    `tables`, with g^-1's products read off `_gl_row`."""
+    add, sub, mul, *_ = tables
+    (a, b, c, d), ((x1, e1), (x2, e2)) = abcd, ginv
+    ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+    xe1, xe2, xx1, xx2, ee1, ee2, di = _gl_row(tables, ginv)
+    u1, u2 = sub[ma[e2]][mc[e1]], sub[mb[e2]][md[e1]]
+    v1, v2 = sub[mc[x1]][ma[x2]], sub[md[x1]][mb[x2]]
+    return (di[add[xx1[u1]][xx2[u2]]], di[add[xe1[u1]][xe2[u2]]], di[add[ee1[u1]][ee2[u2]]],
+            di[add[xx1[v1]][xx2[v2]]], di[add[xe1[v1]][xe2[v2]]], di[add[ee1[v1]][ee2[v2]]])
+
+
 def _verify_witness(F: FieldCtx, abcd, label, params, ginv, K, max_ext: int, targets: dict) -> bool:
     """The raw witness ginv over K of `_classify_raw(F, abcd)`, with raw key
     (label, params), lands on the canonical form within the allowed extension
     degree, by the closed forms on raw entries. `targets` maps (witness field
-    K, raw key) to the embedding into K and the raw image due there; the first
-    algebra of each is also checked through the generic `transform`."""
+    K, raw key) to the lift of F's raw elements into K and the raw image due
+    there; the first algebra of each is also checked through the generic
+    `transform`. Up to order _TABLE_MAX the image is evaluated on K's tables
+    (`_image_raw`), above it by the field methods of `transform_evolution_raw`.
+    The census's hot loop `_orbit_raw` writes the same closed forms inline,
+    to drop most images after their middle entries a2 and b2; the tests pin
+    both against `transform_evolution_raw`."""
     if ginv is None or K.k // F.k > max_ext:
         return False
     if (K, label, params) not in targets:
         emb = embed(F, K)
         # the canonical representative over F, carried to K, is the one over K
         C = canonical_msc(CanonicalKey(F, label, tuple(Fel(F, p) for p in params))).over(emb)
-        targets[K, label, params] = emb, tuple(row[j] for row in C.rows for j in (0, 1, 3))
+        target = tuple(row[j] for row in C.rows for j in (0, 1, 3))
+        targets[K, label, params] = [emb.raw(v) for v in range(F.order)], target
         if transform(EvolutionMsc(F, abcd).over(emb), BasisChange(Mat2(K, ginv))) != C:
             return False
-    emb, target = targets[K, label, params]
-    return transform_evolution_raw(K, tuple(map(emb.raw, abcd)), ginv) == target
+    lift, target = targets[K, label, params]
+    a, b, c, d = abcd
+    abcd = lift[a], lift[b], lift[c], lift[d]
+    if K.order > _TABLE_MAX:
+        return transform_evolution_raw(K, abcd, ginv) == target
+    return _image_raw(K.tables, abcd, ginv) == target
 
 
 def _phase1_chunk(F: FieldCtx, lo: int, hi: int, max_ext: int):
@@ -224,26 +250,24 @@ def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> tuple:
     return ok, keys
 
 
+def _gl_row(tables, ginv) -> tuple:
+    """The mul-table rows of x1*e1, x2*e2, x1^2, x2^2, e1^2, e2^2 and delta^-1:
+    all that the closed forms of the image need of g^-1 = ((x1, e1), (x2, e2))."""
+    _, sub, mul, _, inv = tables
+    (x1, e1), (x2, e2) = ginv
+    mx1, mx2, me1, me2 = mul[x1], mul[x2], mul[e1], mul[e2]
+    return (mul[mx1[e1]], mul[mx2[e2]], mul[mx1[x1]], mul[mx2[x2]], mul[me1[e1]], mul[me2[e2]],
+            mul[inv[sub[mx1[e2]][mx2[e1]]]])
+
+
 def _gl_table(f: FieldCtx) -> list:
     """GL(2,q) modulo scalars for the census orbit kernel: one g^-1 =
     ((x1, e1), (x2, e2)) per scalar class, the one whose first row's first
-    nonzero entry is 1, with the mul-table rows of x1*e1, x2*e2, x1^2, x2^2,
-    e1^2, e2^2 and delta^-1. `_gl2_raw` lists those classes first, in
-    lexicographic order, so the scan stops at the first x1 above 1."""
-    _, sub, mul, _, inv = f.tables
-    out = []
-    for m in itertools.takewhile(lambda m: m[0][0] < 2, _gl2_raw(f)):
-        (x1, e1), (x2, e2) = m
-        if (x1 or e1) != 1:
-            continue
-        mx1, mx2, me1, me2 = mul[x1], mul[x2], mul[e1], mul[e2]
-        out.append((
-            x1, e1, x2, e2,
-            mul[mx1[e1]], mul[mx2[e2]],
-            mul[mx1[x1]], mul[mx2[x2]], mul[me1[e1]], mul[me2[e2]],
-            mul[inv[sub[mx1[e2]][mx2[e1]]]],
-        ))
-    return out
+    nonzero entry is 1, as (x1, e1, x2, e2) followed by its `_gl_row`.
+    `_gl2_raw` lists those classes first, in lexicographic order, so the scan
+    stops at the first x1 above 1."""
+    classes = itertools.takewhile(lambda m: m[0][0] < 2, _gl2_raw(f))
+    return [(*m[0], *m[1], *_gl_row(f.tables, m)) for m in classes if (m[0][0] or m[0][1]) == 1]
 
 
 def _index(q: int, a: int, b: int, c: int, d: int) -> int:
@@ -373,26 +397,26 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
     aut_ok = der_ok = True
     records = []
     for rk in sorted(orbits, key=by_sort_key):
-        k, reps = canon[rk], sorted(orbits[rk])
-        C = canonical_msc(k)
+        k, reps, stab = canon[rk], sorted(orbits[rk]), aut_of.pop(rk)
+        C, aut_order = canonical_msc(k), len(stab)  # distinct: one per scalar class and unit
         solved = der_solve(C)
-        if _der_scan_raw(C) != sorted(_span_raw(tables, solved.vectors())):
-            der_ok = False
-        stab = set(aut_of[rk])
-        if k.label != "E0":
+        if k.label != "E0":  # E0's stabilizer, all of GL(2,q), is only counted
             inst = aut_instantiate(aut_closed_form(k, F), F)
             # the stabilizer against the closed forms, and, the two being
             # equal, again through the generic product
-            if {_index(q, *m.e[0], *m.e[1]) for m in inst} != stab or not all(aut_check(C, m) for m in inst):
+            if {_index(q, *m.e[0], *m.e[1]) for m in inst} != set(stab) or not all(aut_check(C, m) for m in inst):
                 aut_ok = False
             if der_closed_form(k, F) != solved:
                 der_ok = False
+        del stab  # E0's, all of GL(2,q), is freed before its Der scan
+        if _der_scan_raw(C) != _span_raw(tables, solved.vectors()):
+            der_ok = False
         records.append(
             CensusRecord(
                 key=k,
                 orbit_representatives=tuple(EvolutionMsc(F, _entries(q, rep)) for rep, _ in reps),
                 orbit_size_in_evolution_subset=sum(size for _, size in reps),
-                brute_aut_order=len(stab),
+                brute_aut_order=aut_order,
                 der_dim=solved.dim,
             )
         )
@@ -418,5 +442,6 @@ def _span_raw(tables, vecs) -> set:
     add, _, mul, *_ = tables
     span = {(0, 0, 0, 0)}
     for v in vecs:
-        span = {tuple(add[a][mc[b]] for a, b in zip(s, v)) for s in span for mc in mul}
+        rows, multiples = ([add[a] for a in s] for s in span), [[mc[b] for b in v] for mc in mul]
+        span = {tuple(map(list.__getitem__, r, cv)) for r in rows for cv in multiples}
     return span

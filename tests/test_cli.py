@@ -246,6 +246,20 @@ class TestMalformedDocuments:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("evoalg:"), lines
 
+    @pytest.mark.parametrize("cmd", ["classify", "census"])
+    def test_utf8_byte_order_mark_is_ignored(self, capsys, tmp_path, cmd):
+        # some editors start UTF-8 files with a BOM, which JSON parsers may ignore
+        doc = {"kind": "GF", "p": 3, "k": 1} if cmd == "census" else {"field": Q, "msc": ["2", "3", "5", "7"]}
+        outs = []
+        for name, bom in [("plain.json", b""), ("bom.json", b"\xef\xbb\xbf")]:
+            path = tmp_path / name
+            path.write_bytes(bom + json.dumps(doc).encode())
+            argv = ["census", "--field", str(path)] if cmd == "census" else ["classify", "-a", str(path)]
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, ""), err
+            outs.append(out)
+        assert outs[1] == outs[0] != ""
+
     @pytest.mark.parametrize("open_,close", [("[", "]"), ('{"a":', "}")])
     def test_nesting_bound_is_exact(self, open_, close):
         at_bound = open_ * 64 + "0" * (open_ == '{"a":') + close * 64

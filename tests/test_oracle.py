@@ -32,6 +32,7 @@ from evoalg import (
 )
 from evoalg import fields, oracle
 from evoalg.derivations import der_check
+from evoalg.msc import transform_evolution_raw
 from evoalg.serialize import census_to_csv, census_to_json, dumps
 
 from conftest import F2, F3, F4, F5, F7
@@ -284,6 +285,44 @@ class TestOrbitKernel:
         abcds = list(itertools.product(range(4), repeat=4))
         for g in rng.sample(changes, 30):
             self.check(F4, g, rng.sample(abcds, 64))
+
+
+class TestTableImage:
+    """The witness check's closed forms on the field tables, `_image_raw`
+    (built on the orbit kernel's `_gl_row`), against the field-method closed
+    forms of `transform_evolution_raw`."""
+
+    @pytest.mark.parametrize("field", [F3, F4])
+    def test_every_change_and_algebra(self, field):
+        abcds = list(itertools.product(range(field.order), repeat=4))
+        for ginv in oracle._gl2_raw(field):
+            for abcd in abcds:
+                assert oracle._image_raw(field.tables, abcd, ginv) == transform_evolution_raw(field, abcd, ginv)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_seeded_sample_over_quadratic_extensions(self, p):
+        field = GF(p, 2)
+        q = field.order
+        rng = random.Random(q)
+        for _ in range(2000):
+            x1 = e1 = x2 = e2 = 0
+            while field.sub(field.mul(x1, e2), field.mul(x2, e1)) == 0:
+                x1, e1, x2, e2 = (rng.randrange(q) for _ in range(4))
+            ginv = ((x1, e1), (x2, e2))
+            abcd = tuple(rng.randrange(q) for _ in range(4))
+            assert oracle._image_raw(field.tables, abcd, ginv) == transform_evolution_raw(field, abcd, ginv)
+
+    def test_tables_up_to_the_bound_methods_above(self, monkeypatch):
+        # GF(5)'s witnesses live in GF(5) and GF(25), all with tables; GF(7)'s
+        # E3 witnesses need GF(343), past _TABLE_MAX, which keeps no tables
+        calls = []
+        generic = oracle.transform_evolution_raw
+        monkeypatch.setattr(oracle, "transform_evolution_raw", lambda K, *a: calls.append(K) or generic(K, *a))
+        assert census(F5).flags["witnesses_ok"] and calls == []
+        GF(7, 3).__dict__.pop("tables", None)
+        assert census(F7).flags["witnesses_ok"]
+        assert calls and set(calls) == {GF(7, 3)}
+        assert "tables" not in GF(7, 3).__dict__
 
 
 class TestCensus:
@@ -621,9 +660,11 @@ class TestWitnessCheck:
             _, _, right_of[w], *_ = res
             return w
 
-        evaluate = oracle.transform_evolution_raw
-        lying = lambda K, abcd, ginv: evaluate(K, abcd, right_of.get(ginv, ginv))
-        monkeypatch.setattr(oracle, "transform_evolution_raw", lying)
+        # (GF(3)'s witness fields have tables, so the closed forms evaluated
+        # are `_image_raw`'s)
+        evaluate = oracle._image_raw
+        lying = lambda tables, abcd, ginv: evaluate(tables, abcd, right_of.get(ginv, ginv))
+        monkeypatch.setattr(oracle, "_image_raw", lying)
         rep, _, image, C = self.bad_witness_census(monkeypatch, F3, pick, bad, last=False)
         assert image != C
         self.assert_only_witness_flag_cleared(rep)
