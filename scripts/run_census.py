@@ -12,20 +12,23 @@ import sys
 import time
 from pathlib import Path
 
-from evoalg import GF, census
+from evoalg import GF, BudgetExceeded, FieldError, census
 from evoalg.serialize import census_to_csv, census_to_json, dumps, key_str
 
 
 def field_of(q: int):
-    for p in (2, 3, 5, 7, 11, 13):
-        k = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1 and k >= 1:
-            return GF(p, k) if k > 1 else GF(p)
-    raise SystemExit(f"{q} is not a prime power at desk scale")
+    """GF(q) for q = p^k, p being the least factor of q below 2^16, or q
+    itself when there is none; the library refuses a p that is not prime."""
+    if q < 2:
+        raise SystemExit(f"{q} is not a prime power")
+    p = next((d for d in range(2, min(q, 1 << 16)) if q % d == 0), q)
+    k, n = 0, q
+    while n % p == 0:
+        n //= p
+        k += 1
+    if n != 1:
+        raise SystemExit(f"{q} is not a prime power")
+    return GF(p, k) if k > 1 else GF(p)
 
 
 def main() -> int:
@@ -39,9 +42,13 @@ def main() -> int:
 
     last = None
     for q in args.fields:
-        F = field_of(q)
-        t0 = time.perf_counter()
-        rep = census(F, max_witness_ext=args.max_ext, jobs=args.jobs)
+        try:
+            F = field_of(q)
+            t0 = time.perf_counter()
+            rep = census(F, max_witness_ext=args.max_ext, jobs=args.jobs)
+        except (BudgetExceeded, FieldError) as e:
+            print(f"run_census.py: {e}", file=sys.stderr)
+            return 1
         dt = time.perf_counter() - t0
         status = "ok" if rep.ok else "FLAGS FALSE"
         print(

@@ -15,11 +15,12 @@ brute-force oracle confirms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 
 from .classify import CanonicalKey, UnsupportedKey
-from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, find_root
-from .msc import BasisChange, Mat2, Msc, transform
+from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, _horner, find_root
+from .msc import BasisChange, Mat2, Msc, SingularChange, transform
 
 _ENUMERATE_MAX = 10_000  # automorphisms listed by one `aut_instantiate`
 
@@ -33,81 +34,45 @@ def aut_check(E: Msc, g: Mat2) -> bool:
 
     The change whose g^-1 is g carries E to g^-1 E (g (x) g), which is E
     exactly when gE = E(g (x) g)."""
-    f = E.field
-    if g.field is not f:
+    if g.field is not E.field:
         raise MixedFields("matrix and structure constants over different fields")
-    (p, q), (r, s) = g.e
-    if f.sub(f.mul(p, s), f.mul(q, r)) == f.zero:
+    try:
+        return transform(E, BasisChange(g)) == E
+    except SingularChange:
         return False
-    return transform(E, BasisChange(g)) == E
 
 
-class TSPoly:
-    """Tiny polynomial in the parameters t and s with rational integer
-    coefficients, evaluated exactly inside any field."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        cleaned = []
-        for exps, c in sorted(terms.items()):
-            c = Fraction(c)
-            if c:
-                cleaned.append((exps, c))
-        self.terms = tuple(cleaned)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in self.terms:
-            ms = []
-            if i:
-                ms.append("t" if i == 1 else f"t^{i}")
-            if j:
-                ms.append("s" if j == 1 else f"s^{j}")
-            mono = " ".join(ms)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for piece in parts[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
-
-    def __repr__(self):
-        return f"TSPoly({self.render()!r})"
+# the parametric families by label, E20 being E2(0): the 2x2 entries as
+# (parameter, integer coefficients, constant term first), the number of
+# parameters and the excluded values (parameter != value). They read
+# E20 [[1, 0], [t, 1-t]], t != 1; E5 [[t, 1-t], [1-t, t]], t != 1/2 outside
+# characteristic 2; E6 [[t^2, s], [0, t]], t != 0.
+_FAMILIES = {
+    "E20": (((("t", (1,)), ("t", ())), (("t", (0, 1)), ("t", (1, -1)))), 1, (("t", Fraction(1)),)),
+    "E5": (((("t", (0, 1)), ("t", (1, -1))), (("t", (1, -1)), ("t", (0, 1)))), 1, (("t", Fraction(1, 2)),)),
+    "E6": (((("t", (0, 0, 1)), ("s", (0, 1))), (("t", ()), ("t", (0, 1)))), 2, (("t", Fraction(0)),)),
+}
 
 
-def _eval_terms(f: FieldCtx, terms, t, s):
-    """The value at raw t, s of terms whose coefficients are raw in f."""
-    acc = f.zero
-    for (i, j), v in terms:
-        for _ in range(i):
-            v = f.mul(v, t)
-        for _ in range(j):
-            v = f.mul(v, s)
-        acc = f.add(acc, v)
-    return acc
-
-
-_T = (1, 0)
-_S = (0, 1)
-_1 = (0, 0)
+def _render(var: str, coeffs) -> str:
+    """The text of the polynomial in var: "0", "1", "t", "1-t", "t^2"."""
+    out = ""
+    for i, c in enumerate(coeffs):
+        if c:
+            mono = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            term = str(c) if not mono else mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+            out += term if not out or term.startswith("-") else "+" + term
+    return out or "0"
 
 
 @dataclass(frozen=True)
 class ParamFamily:
-    """A parametric family of automorphisms: a 2x2 matrix of polynomials in t
-    (and s), minus finitely many excluded parameter values."""
+    """A parametric family of automorphisms: a 2x2 matrix whose entries are
+    polynomials in the parameter t (or s), minus finitely many excluded
+    parameter values."""
 
     field: FieldCtx
-    entries: tuple  # 2x2 of TSPoly
+    entries: tuple  # 2x2 of (parameter name, integer coefficients, constant term first)
     param_count: int  # 1 or 2
     excluded: tuple  # ((param_name, Fraction), ...) meaning param != value
 
@@ -126,20 +91,22 @@ class ParamFamily:
             raise ValueError(f"family takes {self.param_count} parameter(s)")
         if not self.admissible_raw(t.raw, None if s is None else s.raw):
             raise ValueError("parameter value is excluded")
-        return self.matrix_raw(self.raw_terms(), t.raw, None if s is None else s.raw)
+        return self.matrix_raw(t.raw, None if s is None else s.raw)
 
-    def raw_terms(self) -> tuple:
-        """The entries' terms, their coefficients converted into the field."""
+    @cached_property
+    def _raw_entries(self) -> tuple:
+        """Per entry, whether its parameter is s, and its coefficients in the
+        field, converted once per family rather than once per member."""
         co = self.field.coerce
-        return tuple(tuple(tuple((e, co(c)) for e, c in p.terms) for p in row) for row in self.entries)
+        return tuple(tuple((v == "s", [co(c) for c in cs]) for v, cs in row) for row in self.entries)
 
-    def matrix_raw(self, terms, t, s) -> Mat2:
-        """The member at raw t, s from `raw_terms()`, without `matrix_at`'s checks."""
+    def matrix_raw(self, t, s=None) -> Mat2:
+        """The member at raw t, s, without `matrix_at`'s checks."""
         f = self.field
-        return Mat2(f, tuple(tuple(_eval_terms(f, p, t, s) for p in row) for row in terms))
+        return Mat2(f, tuple(tuple(_horner(f, cs, s if in_s else t) for in_s, cs in row) for row in self._raw_entries))
 
     def entries_text(self):
-        return [[p.render() for p in row] for row in self.entries]
+        return [[_render(v, cs) for v, cs in row] for row in self.entries]
 
     def excluded_text(self):
         return [f"{name} != {value}" for name, value in self.excluded]
@@ -174,33 +141,25 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
         raise MixedFields("key and field disagree")
     if key.label == "E0":
         raise UnsupportedKey("the zero algebra is all of GL(2), not described here")
-    f = field
+    f, label = field, key.label
+    if label == "E2" and key.params[0].is_zero:
+        label = "E20"
+    if label in _FAMILIES:
+        entries, count, excluded = _FAMILIES[label]
+        if label == "E5" and f.char == 2:
+            excluded = ()
+        return AutDescription(key, f, f, (), (ParamFamily(f, entries, count, excluded),))
     ident = Mat2.identity(f)
     swap = Mat2.swap(f)
     elements: tuple = (ident,)
-    families: tuple = ()
     element_field = f
     missing = None
 
-    if key.label == "E1":
+    if label == "E1":
         s1, s2 = key.params
-        elements = _dedupe((ident, swap)) if s1 == s2 else (ident,)
-    elif key.label == "E2":
-        if key.params[0].is_zero:
-            fam = ParamFamily(
-                f,
-                (
-                    (TSPoly({_1: 1}), TSPoly({})),
-                    (TSPoly({_T: 1}), TSPoly({_1: 1, _T: -1})),
-                ),
-                1,
-                (("t", Fraction(1)),),
-            )
-            families = (fam,)
-            elements = ()
-        else:
-            elements = (ident,)
-    elif key.label == "E3":
+        if s1 == s2:
+            elements = (ident, swap)
+    elif label == "E3":
         try:
             k, omega, emb = find_root(f, Poly(f, (1, 1, 1)))
         except NeedsExtension as e:
@@ -215,32 +174,10 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
                 mats.append(Mat2(k, ((k.zero, y), (k.mul(y, y), k.zero))))
             elements = _dedupe(mats)
             element_field = k
-    elif key.label == "E4":
+    elif label == "E4":
         elements = _dedupe((ident, Mat2(f, ((f.one, f.zero), (f.zero, f.neg(f.one))))))
-    elif key.label == "E5":
-        excl = () if f.char == 2 else (("t", Fraction(1, 2)),)
-        fam = ParamFamily(
-            f,
-            (
-                (TSPoly({_T: 1}), TSPoly({_1: 1, _T: -1})),
-                (TSPoly({_1: 1, _T: -1}), TSPoly({_T: 1})),
-            ),
-            1,
-            excl,
-        )
-        families = (fam,)
-        elements = ()
-    elif key.label == "E6":
-        fam = ParamFamily(
-            f,
-            ((TSPoly({(2, 0): 1}), TSPoly({_S: 1})), (TSPoly({}), TSPoly({_T: 1}))),
-            2,
-            (("t", Fraction(0)),),
-        )
-        families = (fam,)
-        elements = ()
 
-    return AutDescription(key, f, element_field, elements, families, missing)
+    return AutDescription(key, f, element_field, elements, (), missing)
 
 
 def _base_field_elements(desc: AutDescription) -> tuple:
@@ -273,20 +210,18 @@ def aut_order(desc: AutDescription) -> int | None:
 def aut_instantiate(desc: AutDescription, field: FieldCtx) -> list:
     """All automorphisms of the description with entries in the given finite
     field: the finite elements that lie in it plus every admissible family
-    member. Duplicate-free, deterministic order. A group of more than
-    `_ENUMERATE_MAX` elements is refused."""
+    member, in a deterministic order. Duplicate-free: the members of a
+    family differ in their parameters, and no description has both finite
+    elements and a family. A group of more than `_ENUMERATE_MAX` elements
+    is refused."""
     if field is not desc.base_field:
         raise MixedFields("instantiation field must be the description's base field")
     if field.order is None:
         raise InfiniteField("cannot enumerate over an infinite field")
     if (n := aut_order(desc)) > _ENUMERATE_MAX:
         raise BudgetExceeded(f"listing {n} automorphisms over {field} refused (more than {_ENUMERATE_MAX})")
-    f = field
     out = list(_base_field_elements(desc))
     for fam in desc.families:
-        terms = fam.raw_terms()
-        for t in range(f.order):
-            if fam.admissible_raw(t):
-                ss = range(f.order) if fam.param_count == 2 else (None,)
-                out.extend(fam.matrix_raw(terms, t, s) for s in ss)
-    return list(_dedupe(out))
+        ss = range(field.order) if fam.param_count == 2 else (None,)
+        out.extend(fam.matrix_raw(t, s) for t in range(field.order) if fam.admissible_raw(t) for s in ss)
+    return out

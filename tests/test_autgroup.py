@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -23,9 +24,9 @@ from evoalg import (
 from evoalg import autgroup
 from evoalg.fields import InfiniteField
 from evoalg.oracle import brute_aut
-from evoalg.serialize import el_from_json, field_from_json
+from evoalg.serialize import aut_to_json, dumps, el_from_json, field_from_json
 
-from conftest import F3, F4, F5, F7, F9
+from conftest import F2, F3, F4, F5, F7, F9
 
 
 def _keys_over(field, e1_pairs=(), e2_params=()):
@@ -270,3 +271,30 @@ class TestOrderFromTheDescription:
         assert aut_order(aut_closed_form(CanonicalKey(QQ, "E3"), QQ)) == 2
         assert aut_order(aut_closed_form(CanonicalKey(QQ, "E4"), QQ)) == 2
         assert aut_order(aut_closed_form(CanonicalKey(QQ, "E6"), QQ)) is None
+
+
+class TestAutDigest:
+    """`aut_to_json` of every canonical key over GF(2), GF(3), GF(4), GF(5),
+    GF(7) and GF(9) with its listed elements, and of a fixed list of keys
+    over Q (E1 with an equal and an unequal pair, E2(0), E2(1), E3, E4, E5
+    and E6), pinned by one sha256."""
+
+    # recorded with the families held as polynomials in t and s
+    DIGEST = "1dcb1d1939fa307da667322f63a83adcf7a98a1d9920f11c81cbbc01d87fcaf3"
+
+    def docs(self):
+        for field in (F2, F3, F4, F5, F7, F9):
+            for k in all_keys(field):
+                desc = aut_closed_form(k, field)
+                yield aut_to_json(desc, aut_instantiate(desc, field))
+        q_keys = [CanonicalKey(QQ, "E1", (2, 2)), CanonicalKey(QQ, "E1", (2, 3))]
+        q_keys += [CanonicalKey(QQ, "E2", (b,)) for b in (0, 1)]
+        q_keys += [CanonicalKey(QQ, label) for label in ("E3", "E4", "E5", "E6")]
+        for k in q_keys:
+            yield aut_to_json(aut_closed_form(k, QQ))
+
+    def test_pinned_digest(self):
+        digest = hashlib.sha256()
+        for doc in self.docs():
+            digest.update(dumps(doc).encode())
+        assert digest.hexdigest() == self.DIGEST

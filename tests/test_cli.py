@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,72 @@ def _evoalg(*argv):
     )
 
 
+def _gf_alg(p, k, *entries):
+    """An algebra document over GF(p^k); an int entry is a constant, a list
+    the low coefficients of a polynomial in the generator x."""
+    def vec(e):
+        cs = e if isinstance(e, list) else [e]
+        return cs + [0] * (k - len(cs))
+
+    return json.dumps({"field": {"kind": "GF", "p": p, "k": k}, "msc": [vec(e) for e in entries]})
+
+
+def _q_alg(*entries):
+    return json.dumps({"field": Q, "msc": list(entries)})
+
+
+_X = [0, 1]  # the generator of GF(p^k)
+_P = 3317044064679887385961813  # prime, 168 below fields._MR_BOUND
+_BIG, _BIG2 = "7" * 4300, "3" * 4299 + "1"
+_DEEP = "[" * 65 + "]" * 65  # one level past cli._JSON_MAX_DEPTH
+
+# (id, argv, exit code, slow): each subcommand on the largest input its
+# schema admits; fresh-process times on 2 cores are 0.1-0.3 s, and 0.8-1.1 s
+# for the slow cases
+_EDGE_INPUTS = [
+    # x is no cube in GF(2^256), so the witness needs GF(2^768), past the size budget
+    ("classify-e3-gf2^256", ["classify", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 1, False),
+    ("aut-e3-gf2^256", ["aut", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 1, False),
+    ("der-e3-gf2^256", ["der", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 0, False),
+    ("census-gf2^256", ["census", "--field", '{"kind":"GF","p":2,"k":256}'], 1, False),
+    ("classify-e3-gf3^128", ["classify", "-a", _gf_alg(3, 128, 0, _X, 1, 0)], 0, True),
+    ("aut-e3-gf3^128", ["aut", "-a", _gf_alg(3, 128, 0, _X, 1, 0), "--enumerate"], 0, True),
+    ("census-gf16", ["census", "--field", '{"kind":"GF","p":2,"k":4}'], 0, True),
+    # 2 is no square mod _P: the E4 witness lies in GF(_P^2)
+    ("classify-e4-mr-bound", ["classify", "-a", _gf_alg(_P, 1, 1, 2, 0, 0)], 0, False),
+    ("aut-e4-mr-bound", ["aut", "-a", _gf_alg(_P, 1, 1, 2, 0, 0), "--enumerate"], 0, False),
+    ("der-e4-mr-bound", ["der", "-a", _gf_alg(_P, 1, 1, 2, 0, 0)], 0, False),
+    ("iso-e4-mr-bound", ["iso", "-a", _gf_alg(_P, 1, 1, 2, 0, 0), "-b", _gf_alg(_P, 1, 1, 1, 0, 0)], 0, False),
+    ("verify-e4-mr-bound", ["verify", "-a", _gf_alg(_P, 1, 1, 2, 0, 0), "-g", f"[[1,0],[0,{_P - 1}]]", "--mode", "aut"], 0, False),
+    ("classify-q-4300-digits", ["classify", "-a", _q_alg(_BIG, "1", "1", _BIG2)], 0, False),
+    ("classify-q-4300-digits-cube-root", ["classify", "-a", _q_alg("0", _BIG, "1", "0")], 3, False),
+    ("der-q-4300-digits", ["der", "-a", _q_alg(_BIG, "1", "1", _BIG2)], 0, False),
+    ("iso-q-4300-digits", ["iso", "-a", _q_alg(_BIG, "1", "1", _BIG2), "-b", _q_alg(_BIG2, "1", "1", _BIG)], 0, False),
+    ("t2map-q-4300-digits", ["t2map", "--label", "E6c", "--param", f"{_BIG}/{_BIG2}"], 0, False),
+    ("classify-65-levels", ["classify", "-a", '{"field":{"kind":"Q"},"msc":' + _DEEP + "}"], 1, False),
+    ("verify-65-levels", ["verify", "-a", _q_alg("1", "0", "0", "1"), "-g", _DEEP, "--mode", "aut"], 1, False),
+    ("census-65-levels", ["census", "--field", _DEEP], 1, False),
+]
+
+
+class TestEdgeInputs:
+    """Each subcommand on the largest or deepest input the schema admits, in
+    a fresh process: a documented exit code, no traceback, at most one
+    stderr line, within a wall bound."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [pytest.param(argv, code, id=name, marks=[pytest.mark.slow] if slow else []) for name, argv, code, slow in _EDGE_INPUTS],
+    )
+    def test_bounded_with_one_line(self, argv, code):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "evoalg", *argv], capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) <= 1
+        assert (proc.stdout == "") == (code == 1)
+
+
 class TestPastTheDigitLimit:
     """Python refuses int <-> str conversions past 4300 digits by default; the
     command line lifts that limit, since the input size bounds the work."""
@@ -488,6 +555,13 @@ class TestAut:
             capsys, "aut", "-a", '{"field":{"kind":"Q"},"msc":["0","0","0","0"]}'
         )
         assert code == 1
+
+    def test_e6_family_listing_matches_the_golden_file(self):
+        # E6 is the two-parameter family: entries "t^2" and "s", q(q - 1) members
+        alg = '{"field":{"kind":"GF","p":5,"k":1},"msc":[0,1,0,0]}'
+        proc = _evoalg("aut", "-a", alg, "--enumerate")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (Path(__file__).parent / "data" / "aut_e6_gf5.json").read_text()
 
 
 class TestDer:

@@ -693,17 +693,37 @@ class TestWitnessCheck:
 
 
 class TestRunCensusScript:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run_script(self, *argv, timeout=None):
+        path = [str(self.ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        script = self.ROOT / "scripts" / "run_census.py"
+        return subprocess.run(
+            [sys.executable, str(script), *argv], capture_output=True, text=True, env=env, timeout=timeout
+        )
+
     def test_json_and_csv_of_the_last_field(self, tmp_path):
         # the README's experiment script writes the report of its last field
-        root = Path(__file__).resolve().parent.parent
-        path = [str(root / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         out_json, out_csv = tmp_path / "census.json", tmp_path / "census.csv"
-        script = root / "scripts" / "run_census.py"
-        argv = ["--fields", "2", "3", "--json", str(out_json), "--csv", str(out_csv)]
-        proc = subprocess.run(
-            [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
-        )
+        proc = self.run_script("--fields", "2", "3", "--json", str(out_json), "--csv", str(out_csv))
         assert proc.returncode == 0, proc.stderr
-        assert out_json.read_bytes() == (root / "tests" / "data" / "census_gf3.json").read_bytes()
+        assert out_json.read_bytes() == (self.ROOT / "tests" / "data" / "census_gf3.json").read_bytes()
         assert out_csv.read_text() == census_to_csv(census(F3))
+
+    def test_order_zero_refused_at_once(self):
+        # 0 is divisible by every prime: the order is refused before any factoring
+        proc = self.run_script("--fields", "0", timeout=20)
+        assert (proc.returncode, proc.stderr) == (1, "0 is not a prime power\n")
+
+    @pytest.mark.parametrize(
+        "q, err",
+        [
+            ("25", "census over GF(5^2) refused (order 25 > 16)"),
+            ("17", "census over GF(17) refused (order 17 > 16)"),
+        ],
+    )
+    def test_library_refusal_is_one_line(self, q, err):
+        proc = self.run_script("--fields", q, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"run_census.py: {err}\n"
