@@ -16,6 +16,7 @@ from .fields import (
     Fel,
     FieldCtx,
     FieldError,
+    FieldTooLarge,
     InfiniteField,
     MixedFields,
     NeedsExtension,

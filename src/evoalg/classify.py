@@ -27,13 +27,16 @@ from dataclasses import dataclass
 
 from .fields import (
     GF,
+    Embedding,
     Fel,
     FieldCtx,
+    FieldTooLarge,
     MixedFields,
     NeedsExtension,
     Poly,
+    _finite_root,
+    _rational_root,
     embed,
-    find_root,
 )
 from .msc import BasisChange, EvolutionMsc, Mat2, transform_evolution_raw
 
@@ -68,7 +71,7 @@ class CanonicalKey:
                 f"{label} takes {_PARAM_COUNT[label]} parameter(s), got {len(ps)}"
             )
         if label == "E1":
-            if (ps[0] * ps[1]).raw == field.one:
+            if field.prod_eq(ps[0].raw, ps[1].raw, field.one, field.one):
                 raise InvalidParams("E1 pair must satisfy b'c' != 1")
             ps = tuple(sorted(ps, key=lambda e: e.sort_key()))
         self.field = field
@@ -134,64 +137,66 @@ class ClassificationResult:
     lam: Fel | None  # proportionality factor of the degenerate two-row case
 
 
-def _root_witness(f: FieldCtx, raw_coeffs):
+def _root_witness(f: FieldCtx, raw_coeffs, witness: bool):
     """find_root on raw coefficients: (field2, raw root, embedding, None), or
-    (f, None, None, the polynomial) when Q holds no root."""
-    poly = Poly(f, tuple(Fel(f, c) for c in raw_coeffs))
-    try:
-        k, root, emb = find_root(f, poly)
-    except NeedsExtension:
-        return f, None, None, poly
-    return k, root.raw, emb, None
+    (f, None, None, the polynomial when Q holds no root, None without a witness)."""
+    if not witness:
+        return f, None, None, None
+    if f.order is not None:  # find_root's cached root problem, on raw coefficients
+        return (*_finite_root(f, raw_coeffs), None)
+    r = _rational_root(raw_coeffs)  # find_root's uncached exact root over Q
+    return (f, r, Embedding(f, f), None) if r is not None else (f, None, None, Poly(f, raw_coeffs))
 
 
-def _classify_raw(f: FieldCtx, abcd):
+def _classify_raw(f: FieldCtx, abcd, witness: bool = True):
     """The decision tree of `classify` on raw entries: (label, raw params,
     raw g^-1 entries over the witness field or None, witness field,
     missing-root Poly or None, trace, raw lambda or None). Each case states
     its g^-1 in closed form; the E2(0) cases reach [[1,0,0,0],[0,0,0,0]] and
-    then take the basis f1 = e1 + e2, f2 = -e2: g^-1 times ((1, 0), (1, -1))."""
+    then take the basis f1 = e1 + e2, f2 = -e2: g^-1 times ((1, 0), (1, -1)).
+    witness=False skips the three root steps (g^-1 None). Raw 0 is falsy."""
     a, b, c, d = abcd
     zero, one = f.zero, f.one
-    mul, sub, div, inv, neg = f.mul, f.sub, f.div, f.inv, f.neg
+    mul, sqr, div, inv, neg = f.mul, f.sqr, f.div, f.inv, f.neg
 
-    if a == zero and b == zero and c == zero and d == zero:
+    if not (a or b or c or d):
         return "E0", (), ((one, zero), (zero, one)), f, None, ("zero",), None
 
-    if sub(mul(a, d), mul(b, c)) != zero:
-        if a != zero and d != zero:
+    if not f.prod_eq(a, d, b, c):
+        if a and d:
             # case 1.1 -> E1{ab/d^2, cd/a^2}, g^-1 = diag(1/a, 1/d); putting the
             # pair in CanonicalKey's (stable) order swaps the columns of g^-1
-            b2 = div(mul(a, b), mul(d, d))
-            c2 = div(mul(c, d), mul(a, a))
+            b2, c2 = div(mul(a, b), sqr(d)), div(mul(c, d), sqr(a))
             if f.sort_key(c2) < f.sort_key(b2):
                 return "E1", (c2, b2), ((zero, inv(a)), (inv(d), zero)), f, None, ("1.1",), None
             return "E1", (b2, c2), ((inv(a), zero), (zero, inv(d))), f, None, ("1.1",), None
-        if a != zero:
+        if a:
             # case 1.2 (d = 0, so b, c != 0) -> E2(bc^2/a^3), g^-1 = diag(1/a, c/a^2)
-            ginv = ((inv(a), zero), (zero, div(c, mul(a, a))))
-            return "E2", (div(mul(b, mul(c, c)), mul(a, mul(a, a))),), ginv, f, None, ("1.2",), None
-        if d != zero:
+            a2 = sqr(a)
+            ginv = ((inv(a), zero), (zero, div(c, a2)))
+            return "E2", (div(mul(b, sqr(c)), mul(a, a2)),), ginv, f, None, ("1.2",), None
+        if d:
             # case 1.3 (a = 0, so b, c != 0): swap the basis, then as in 1.2
-            ginv = ((zero, div(b, mul(d, d))), (inv(d), zero))
-            return "E2", (div(mul(c, mul(b, b)), mul(d, mul(d, d))),), ginv, f, None, ("1.3",), None
+            d2 = sqr(d)
+            ginv = ((zero, div(b, d2)), (inv(d), zero))
+            return "E2", (div(mul(c, sqr(b)), mul(d, d2)),), ginv, f, None, ("1.3",), None
         # case 1.4 (a = d = 0, b, c != 0) -> E3, g^-1 = diag(xi, c xi^2) with xi^3 = 1/(bc^2)
-        K, xi, emb, needs = _root_witness(f, (neg(inv(mul(b, mul(c, c)))), zero, zero, one))
-        ginv = None if needs else ((xi, zero), (zero, K.mul(emb.raw(c), K.mul(xi, xi))))
+        K, xi, emb, needs = _root_witness(f, (neg(inv(mul(b, sqr(c)))), zero, zero, one), witness)
+        ginv = None if xi is None else ((xi, zero), (zero, K.mul(emb.raw(c), K.sqr(xi))))
         return "E3", (), ginv, K, needs, ("1.4",), None
 
     # det == 0, not the zero algebra
-    row1_zero = a == zero and b == zero
-    if row1_zero or (c == zero and d == zero):
+    row1_zero = not (a or b)
+    if row1_zero or not (c or d):
         # one nonzero row (A, B); a leading swap reduces the row-1-zero case
         A, B = (d, c) if row1_zero else (a, b)
         K, needs = f, None
-        if A != zero and B != zero:
+        if A and B:
             # case 2.2.1 -> E4, g^-1 = diag(1/A, eta) with eta^2 = 1/(AB)
             label, params, tag = "E4", (), "2.2.1"
-            K, eta, emb, needs = _root_witness(f, (neg(inv(mul(A, B))), zero, one))
-            ginv = None if needs else ((emb.raw(inv(A)), zero), (zero, eta))
-        elif A != zero:
+            K, eta, emb, needs = _root_witness(f, (neg(inv(mul(A, B))), zero, one), witness)
+            ginv = None if eta is None else ((emb.raw(inv(A)), zero), (zero, eta))
+        elif A:
             # case 2.2.1 with B = 0 -> E2(0): diag(1/A, 1), then the fix-up
             label, params, tag = "E2", (zero,), "2.2.1"
             ginv = ((inv(A), zero), (one, neg(one)))
@@ -204,23 +209,23 @@ def _classify_raw(f: FieldCtx, abcd):
         return label, params, ginv, K, needs, (tag,), None
 
     # both rows nonzero and proportional: (c,d) = lam * (a,b)
-    lam = div(c, a) if a != zero else div(d, b)
-    if a != zero and b != zero:
-        s = f.add(a, mul(b, mul(lam, lam)))
-        if s == zero:
+    lam = div(c, a) if a else div(d, b)
+    if a and b:
+        if f.prod_eq(a, sqr(a), neg(b), sqr(c)):  # s = a + b lam^2 = (a^3 + bc^2)/a^2 = 0
             # case 2.1.2 -> E5, rational witness diag(1/a, 1/(b*lam))
             return "E5", (), ((inv(a), zero), (zero, inv(mul(b, lam)))), f, None, ("2.1.2",), lam
         # case 2.1.1 -> E4, g^-1 = ((1/s, eta), (lam/s, -a eta/(b lam))) with
         # eta^2 = b*lam^2 / (a*s^2)
-        u = div(mul(b, mul(lam, lam)), mul(a, mul(s, s)))
-        K, eta, emb, needs = _root_witness(f, (neg(u), zero, one))
-        e2 = None if needs else K.mul(emb.raw(neg(div(a, mul(b, lam)))), eta)
-        ginv = None if needs else ((emb.raw(inv(s)), eta), (emb.raw(div(lam, s)), e2))
+        bl2 = mul(b, sqr(lam))
+        s = f.add(a, bl2)
+        K, eta, emb, needs = _root_witness(f, (neg(div(bl2, mul(a, sqr(s)))), zero, one), witness)
+        e2 = None if eta is None else K.mul(emb.raw(neg(div(a, mul(b, lam)))), eta)
+        ginv = None if eta is None else ((emb.raw(inv(s)), eta), (emb.raw(div(lam, s)), e2))
         return "E4", (), ginv, K, needs, ("2.1.1",), lam
 
     # exactly one of a, b is zero -> E2(0): ((1/a, 0), (lam/a, 1)) if b = 0, or
     # ((1/(b lam^2), 1), (1/(b lam), 0)) if a = 0, reaches [[1,0,0,0],[0,0,0,0]], then the fix-up
-    if b == zero:
+    if not b:
         ginv = ((inv(a), zero), (f.add(div(lam, a), one), neg(one)))
     else:
         bl = mul(b, lam)
@@ -228,7 +233,7 @@ def _classify_raw(f: FieldCtx, abcd):
     return "E2", (zero,), ginv, f, None, ("2.1.1",), lam
 
 
-def classify(E: EvolutionMsc) -> ClassificationResult:
+def classify(E: EvolutionMsc, witness: bool = True) -> ClassificationResult:
     """Canonical key of an evolution algebra, with a basis change onto the
     canonical representative.
 
@@ -236,13 +241,13 @@ def classify(E: EvolutionMsc) -> ClassificationResult:
     The witness may need a square or cube root: finite fields extend
     automatically (witness_field records where the witness lives), while over
     Q a missing root leaves witness = None and sets needs_extension to the
-    exact polynomial.
+    exact polynomial. With witness=False no root is sought; both stay None.
     """
     f = E.field
-    label, params, ginv, K, needs, trace, lam = _classify_raw(f, E.abcd)
+    label, params, ginv, K, needs, trace, lam = _classify_raw(f, E.abcd, witness)
     key = CanonicalKey(f, label, tuple(Fel(f, p) for p in params))
-    witness = None if ginv is None else BasisChange(Mat2(K, ginv))
-    return ClassificationResult(key, witness, K, needs, trace, None if lam is None else Fel(f, lam))
+    change = None if ginv is None else BasisChange(Mat2(K, ginv))
+    return ClassificationResult(key, change, K, needs, trace, None if lam is None else Fel(f, lam))
 
 
 def _common_field(f1: FieldCtx, f2: FieldCtx) -> FieldCtx:
@@ -263,8 +268,12 @@ def iso_test(E: EvolutionMsc, F: EvolutionMsc) -> BasisChange | None:
     """
     if E.field is not F.field:
         raise MixedFields("both algebras must share the base field")
-    re = classify(E)
-    rf = classify(F)
+    try:
+        re, rf = classify(E), classify(F)
+    except FieldTooLarge:  # a witness field past the size budget: the keys may still differ
+        if not same_key(classify(E, False).key, classify(F, False).key):
+            return None
+        raise
     if not same_key(re.key, rf.key):
         return None
     for r in (re, rf):
@@ -309,7 +318,7 @@ def t2_to_t1(field: FieldCtx, label: str, params=()) -> CanonicalKey:
         return CanonicalKey(field, "E6")
     if norm == "E5":
         a, b = ps
-        if (a * b).raw == field.one:
+        if field.prod_eq(a.raw, b.raw, field.one, field.one):
             raise InvalidParams("E5 parameters must satisfy ab != 1")
         return CanonicalKey(field, "E1", (a, b))
     c = ps[0]

@@ -99,8 +99,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_aut(args) -> int:
     f, alg = _load_evolution(args.algebra)
-    res = classify(alg)
-    desc = aut_closed_form(res.key, f)
+    desc = aut_closed_form(classify(alg, witness=False).key, f)
     elements = None
     if args.enumerate:
         if f.order is None:

@@ -64,9 +64,7 @@ def der_check(E: Msc, D: Mat2) -> bool:
     """True iff D satisfies the derivation condition for E."""
     if D.field is not E.field:
         raise MixedFields("matrix and structure constants over different fields")
-    z = E.field.zero
-    res = _der_residual_raw(E, D.e)
-    return all(v == z for row in res for v in row)
+    return not any(v for row in _der_residual_raw(E, D.e) for v in row)
 
 
 def lie_bracket(D1: Mat2, D2: Mat2) -> Mat2:

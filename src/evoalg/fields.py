@@ -59,6 +59,10 @@ class FieldError(ValueError):
     """Base for field construction and arithmetic failures."""
 
 
+class FieldTooLarge(FieldError):
+    """A GF(p^k) descriptor past the size budget."""
+
+
 class MixedFields(FieldError):
     """Operands belong to different field contexts."""
 
@@ -646,6 +650,12 @@ class FieldCtx:
             n >>= 1
         return acc
 
+    def sqr(self, a):
+        return self.mul(a, a)
+
+    def prod_eq(self, a, b, c, d) -> bool:  # a b == c d
+        return self.mul(a, b) == self.mul(c, d)
+
     def __reduce__(self):
         return (field_make, (self.descriptor(),))
 
@@ -708,6 +718,16 @@ class Rationals(FieldCtx):
         if not a:
             raise ZeroDivisionError("inverting zero in Q")
         return 1 / a
+
+    def sqr(self, a):
+        return a**2  # a power of a reduced fraction is reduced: no gcd
+
+    def prod_eq(self, a, b, c, d) -> bool:  # cross-multiplied over positive denominators: no gcd
+        x, y = (a.numerator, b.numerator, c.denominator, d.denominator), (c.numerator, d.numerator, a.denominator, b.denominator)
+        # zeros and sizes first: 4 factors have 0 to 3 more bits than their product
+        if not (all(x) and all(y)) or abs(sum(map(int.bit_length, x)) - sum(map(int.bit_length, y))) > 3:
+            return not all(x) and not all(y)
+        return math.prod(x) == math.prod(y)
 
     def text(self, raw) -> str:
         return str(raw)
@@ -936,7 +956,7 @@ def field_make(desc) -> FieldCtx:
             raise DegreeMismatch("k must be >= 1")
         size = k * (p - 1).bit_length()  # k * ceil(log2 p) for p >= 2
         if size > _SIZE_BUDGET:
-            raise FieldError(
+            raise FieldTooLarge(
                 f"GF(p^{k}) with p of {p.bit_length()} bits is too large: "
                 f"k * ceil(log2 p) = {size} is past the budget of {_SIZE_BUDGET}"
             )

@@ -137,8 +137,7 @@ class Msc:
         return Fel(self.field, self.rows[i][j])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.rows for x in row)
+        return not any(x for row in self.rows for x in row)
 
     def to_evolution(self) -> "EvolutionMsc":
         if not is_evolution(self):
@@ -185,9 +184,8 @@ class EvolutionMsc(Msc):
 
 def is_evolution(A: Msc) -> bool:
     """True iff both middle columns (the mixed products) vanish."""
-    z = A.field.zero
     r0, r1 = A.rows
-    return r0[1] == z and r0[2] == z and r1[1] == z and r1[2] == z
+    return not (r0[1] or r0[2] or r1[1] or r1[2])
 
 
 def det2x2(E: EvolutionMsc) -> Fel:
@@ -205,7 +203,7 @@ class BasisChange:
     def __init__(self, ginv: Mat2):
         f = ginv.field
         (x1, e1), (x2, e2) = ginv.e
-        if f.sub(f.mul(x1, e2), f.mul(x2, e1)) == f.zero:
+        if f.prod_eq(x1, e2, x2, e1):
             raise SingularChange("basis change must be invertible")
         self.ginv = ginv
         self._g = None
@@ -336,14 +334,14 @@ def transform_evolution_raw(f: FieldCtx, abcd, ginv) -> tuple:
     evaluated from the direct closed forms in the entries of g^-1."""
     a, b, c, d = abcd
     (x1, e1), (x2, e2) = ginv
-    add, sub, mul = f.add, f.sub, f.mul
+    add, sub, mul, sqr = f.add, f.sub, f.mul, f.sqr
     di = f.inv(sub(mul(x1, e2), mul(x2, e1)))  # 1/delta
     u1 = sub(mul(a, e2), mul(c, e1))  # a*eta2 - c*eta1
     u2 = sub(mul(b, e2), mul(d, e1))  # b*eta2 - d*eta1
     v1 = sub(mul(c, x1), mul(a, x2))  # -a*xi2 + c*xi1
     v2 = sub(mul(d, x1), mul(b, x2))  # -b*xi2 + d*xi1
-    xx1, xx2, xe1, xe2 = mul(x1, x1), mul(x2, x2), mul(x1, e1), mul(x2, e2)
-    ee1, ee2 = mul(e1, e1), mul(e2, e2)
+    xx1, xx2, xe1, xe2 = sqr(x1), sqr(x2), mul(x1, e1), mul(x2, e2)
+    ee1, ee2 = sqr(e1), sqr(e2)
     a1 = mul(di, add(mul(xx1, u1), mul(xx2, u2)))
     a2 = mul(di, add(mul(xe1, u1), mul(xe2, u2)))
     a4 = mul(di, add(mul(ee1, u1), mul(ee2, u2)))

@@ -26,6 +26,7 @@ from evoalg import (
     Msc,
     NeedsExtension,
     Poly,
+    FieldTooLarge,
     canonical_msc,
     classify,
     det2x2,
@@ -35,10 +36,11 @@ from evoalg import (
     t2_to_t1,
     transform,
 )
+from evoalg import fields as fields_mod
 from evoalg.oracle import brute_iso, gl2_enumerate
 from evoalg.serialize import dumps, result_to_json
 
-from conftest import F3, F4, F5, F7, F9, basis_change_st, evolution_st
+from conftest import F3, F4, F5, F7, F9, basis_change_st, big_q_evolution_st, evolution_st
 
 CL = importlib.import_module("evoalg.classify")
 
@@ -254,6 +256,58 @@ class TestIsoTest:
     def test_mixed_fields(self):
         with pytest.raises(MixedFields):
             iso_test(canonical_msc(CanonicalKey(F5, "E3")), canonical_msc(CanonicalKey(F7, "E3")))
+
+
+class TestKeyOnly:
+    """classify(E, witness=False) runs the same tree without its root steps:
+    the same key, trace and lambda, and no witness where one needs a root.
+    iso_test falls back on it when a witness field is past the size budget."""
+
+    @staticmethod
+    def agree(E):
+        full, key = classify(E), classify(E, witness=False)
+        assert (key.key, key.trace, key.lam) == (full.key, full.trace, full.lam)
+        if full.key.label in ("E3", "E4"):  # the keys of the three root steps
+            assert (key.witness, key.needs_extension, key.witness_field) == (None, None, E.field)
+        else:
+            assert key.witness == full.witness
+
+    @pytest.mark.parametrize("field", [F4, F5], ids=str)
+    def test_every_algebra_over_small_fields(self, field):
+        for E in all_evolution(field):
+            self.agree(E)
+
+    @settings(max_examples=150, deadline=None)
+    @given(E=big_q_evolution_st())
+    def test_q_heights_to_10_400(self, E):
+        self.agree(E)
+
+    def test_iso_answers_from_the_keys_past_the_budget(self):
+        # x is no cube in GF(2^256): the E3 witness needs GF(2^768)
+        F = GF(2, 256)
+        e3, e6 = EvolutionMsc.of(F, (0, [0, 1], 1, 0)), EvolutionMsc.of(F, (0, 1, 0, 0))
+        assert classify(e3, witness=False).key.label == "E3"
+        assert iso_test(e3, e6) is None and iso_test(e6, e3) is None
+        with pytest.raises(FieldTooLarge):
+            iso_test(e3, EvolutionMsc.of(F, (0, 1, [0, 1], 0)))
+
+
+class TestRawRootStep:
+    """Over a finite field the tree hands the raw coefficients of each root
+    problem to the cached solver and builds no Poly."""
+
+    # every element of GF(4) is a square, so only its cube roots need an extension
+    @pytest.mark.parametrize("field, extended_labels", [(F4, {"E3"}), (GF(13), {"E3", "E4"})], ids=str)
+    def test_classify_raw_builds_no_poly(self, monkeypatch, field, extended_labels):
+        built, init = [], Poly.__init__
+        monkeypatch.setattr(Poly, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        fields_mod._finite_root.cache_clear()
+        extended = set()
+        for E in all_evolution(field):
+            label, _, ginv, K, *_ = CL._classify_raw(field, E.abcd)
+            if K is not field:
+                extended.add(label)
+        assert built == [] and extended == extended_labels
 
 
 def monomial_pairs(field, rng, n):

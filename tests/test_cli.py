@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoalg import QQ, EvolutionMsc, Mat2, NeedsExtension, Poly, field_make, iso_test
+from evoalg import QQ, EvolutionMsc, Mat2, NeedsExtension, Poly, brute_aut, embed, field_make, iso_test
 from evoalg import cli
 from evoalg.cli import run
 from evoalg.serialize import matrix_to_json
@@ -361,9 +361,14 @@ _DEEP = "[" * 65 + "]" * 65  # one level past cli._JSON_MAX_DEPTH
 # schema admits; fresh-process times on 2 cores are 0.1-0.3 s, and 0.8-1.1 s
 # for the slow cases
 _EDGE_INPUTS = [
-    # x is no cube in GF(2^256), so the witness needs GF(2^768), past the size budget
+    # x is no cube in GF(2^256), so the witness needs GF(2^768), past the size
+    # budget; aut and iso answer from the keys, which need no witness
     ("classify-e3-gf2^256", ["classify", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 1, False),
-    ("aut-e3-gf2^256", ["aut", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 1, False),
+    ("aut-e3-gf2^256", ["aut", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 0, False),
+    ("iso-e3-e6-gf2^256", ["iso", "-a", _gf_alg(2, 256, 0, _X, 1, 0), "-b", _gf_alg(2, 256, 0, 1, 0, 0)], 0, False),
+    # witnesses in GF(3^128) and GF(2^252), whose embeddings take seconds; aut needs none
+    ("aut-e4-gf3^64", ["aut", "-a", _gf_alg(3, 64, 1, _X, 0, 0)], 0, False),
+    ("aut-e3-gf2^84", ["aut", "-a", _gf_alg(2, 84, 0, _X, 1, 0)], 0, False),
     ("der-e3-gf2^256", ["der", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 0, False),
     ("census-gf2^256", ["census", "--field", '{"kind":"GF","p":2,"k":256}'], 1, False),
     ("classify-e3-gf3^128", ["classify", "-a", _gf_alg(3, 128, 0, _X, 1, 0)], 0, True),
@@ -384,6 +389,8 @@ _EDGE_INPUTS = [
     ("verify-65-levels", ["verify", "-a", _q_alg("1", "0", "0", "1"), "-g", _DEEP, "--mode", "aut"], 1, False),
     ("census-65-levels", ["census", "--field", _DEEP], 1, False),
 ]
+_ONE_SECOND = {"aut-e4-gf3^64", "aut-e3-gf2^84"}  # wall bound 1 s instead of 10 s
+_GOLDEN = {"aut-e3-gf2^256": "aut_e3_gf2_256.json", "iso-e3-e6-gf2^256": "iso_e3_e6_gf2_256.json"}
 
 
 class TestEdgeInputs:
@@ -392,16 +399,27 @@ class TestEdgeInputs:
     stderr line, within a wall bound."""
 
     @pytest.mark.parametrize(
-        "argv, code",
-        [pytest.param(argv, code, id=name, marks=[pytest.mark.slow] if slow else []) for name, argv, code, slow in _EDGE_INPUTS],
+        "name, argv, code",
+        [pytest.param(name, argv, code, id=name, marks=[pytest.mark.slow] if slow else []) for name, argv, code, slow in _EDGE_INPUTS],
     )
-    def test_bounded_with_one_line(self, argv, code):
+    def test_bounded_with_one_line(self, name, argv, code):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "evoalg", *argv], capture_output=True, text=True, timeout=60)
-        assert time.perf_counter() - start < 10
+        assert time.perf_counter() - start < (1 if name in _ONE_SECOND else 10)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) <= 1
         assert (proc.stdout == "") == (code == 1)
+        if name in _GOLDEN:
+            assert proc.stdout == (Path(__file__).parent / "data" / _GOLDEN[name]).read_text()
+
+    def test_e3_golden_automorphisms_are_those_of_gf4(self):
+        # E3's group needs only the cube roots of unity: the brute-force group
+        # over GF(4), carried into GF(2^256), is the golden listing
+        F, K = field_make({"kind": "GF", "p": 2, "k": 256}), field_make({"kind": "GF", "p": 2, "k": 2})
+        emb = embed(K, F)
+        want = {tuple(tuple(map(emb.raw, row)) for row in g.e) for g in brute_aut(EvolutionMsc.of(K, (0, 1, 1, 0)), K)}
+        doc = json.loads((Path(__file__).parent / "data" / "aut_e3_gf2_256.json").read_text())
+        assert len(want) == 6 and {tuple(tuple(map(F.parse, row)) for row in m) for m in doc["finite"]} == want
 
 
 class TestPastTheDigitLimit:

@@ -30,7 +30,7 @@ from evoalg import (
 )
 from evoalg import fields as fields_mod
 
-from conftest import F2, F3, F4, F5, F7, F9, SMALL_FINITE, fel_st
+from conftest import F2, F3, F4, F5, F7, F9, SMALL_FINITE, big_fraction_st, fel_st
 
 
 class TestConstruction:
@@ -358,6 +358,43 @@ class TestArith:
             a = Fel(field, rng.randrange(field.order))
             b = Fel(field, rng.randrange(field.order))
             assert (a + b) ** p == a**p + b**p
+
+
+# GF(p), GF(p^k) with tables (order <= 128) and GF(p^k) past them
+_PRODUCT_FIELDS = [GF(13), GF(2**61 - 1), GF(2, 2), GF(5, 3), GF(2, 7), GF(3, 5), GF(2, 8), GF(13, 2), GF(2, 100)]
+
+
+class TestProductOps:
+    """`sqr` and `prod_eq` agree with `mul`. Over Q they skip the gcd, and
+    prod_eq tests zeros and sizes before it forms a product, so equal
+    products of factors of very different sizes are drawn too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=big_fraction_st(), b=big_fraction_st(), c=big_fraction_st(), d=big_fraction_st())
+    def test_q_against_mul(self, a, b, c, d):
+        assert QQ.prod_eq(a, b, c, d) == (a * b == c * d)
+        assert QQ.prod_eq(a, b, b, a) and QQ.prod_eq(a, 0, 0, d)
+        for x in (a, b, c, d):
+            sq = QQ.sqr(x)
+            assert (sq.numerator, sq.denominator) == ((x * x).numerator, (x * x).denominator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=big_fraction_st(nonzero=True), b=big_fraction_st(nonzero=True), k=big_fraction_st(nonzero=True))
+    def test_q_equal_and_nearly_equal_products(self, a, b, k):
+        c, d = a * k, b / k
+        assert QQ.prod_eq(a, b, c, d) and QQ.prod_eq(c, d, b, a) and QQ.prod_eq(-a, b, c, -d)
+        assert not QQ.prod_eq(a, b, c, d + 1) and not QQ.prod_eq(a, b, -c, d) and not QQ.prod_eq(a, b, 0, d)
+
+    @pytest.mark.parametrize("field", _PRODUCT_FIELDS, ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_finite_against_mul(self, field, data):
+        a, b, c, d = (data.draw(st.integers(0, field.order - 1)) for _ in range(4))
+        mul = field.mul
+        assert field.prod_eq(a, b, c, d) == (mul(a, b) == mul(c, d))
+        assert field.sqr(a) == mul(a, a) and field.sqr(d) == mul(d, d)
+        if c:  # c (b / c) a = a b
+            assert field.prod_eq(a, b, field.div(b, c), mul(c, a))
 
 
 class TestElements:
