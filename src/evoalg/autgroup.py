@@ -14,9 +14,8 @@ brute-force oracle confirms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import CanonicalKey, UnsupportedKey
 from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, _horner, find_root
@@ -65,8 +64,7 @@ def _render(var: str, coeffs) -> str:
     return out or "0"
 
 
-@dataclass(frozen=True)
-class ParamFamily:
+class ParamFamily(NamedTuple):
     """A parametric family of automorphisms: a 2x2 matrix whose entries are
     polynomials in the parameter t (or s), minus finitely many excluded
     parameter values."""
@@ -93,17 +91,10 @@ class ParamFamily:
             raise ValueError("parameter value is excluded")
         return self.matrix_raw(t.raw, None if s is None else s.raw)
 
-    @cached_property
-    def _raw_entries(self) -> tuple:
-        """Per entry, whether its parameter is s, and its coefficients in the
-        field, converted once per family rather than once per member."""
-        co = self.field.coerce
-        return tuple(tuple((v == "s", [co(c) for c in cs]) for v, cs in row) for row in self.entries)
-
     def matrix_raw(self, t, s=None) -> Mat2:
         """The member at raw t, s, without `matrix_at`'s checks."""
-        f = self.field
-        return Mat2(f, tuple(tuple(_horner(f, cs, s if in_s else t) for in_s, cs in row) for row in self._raw_entries))
+        f, co = self.field, self.field.coerce
+        return Mat2(f, [[_horner(f, [co(c) for c in cs], s if v == "s" else t) for v, cs in row] for row in self.entries])
 
     def entries_text(self):
         return [[_render(v, cs) for v, cs in row] for row in self.entries]
@@ -112,8 +103,7 @@ class ParamFamily:
         return [f"{name} != {value}" for name, value in self.excluded]
 
 
-@dataclass(frozen=True)
-class AutDescription:
+class AutDescription(NamedTuple):
     """Closed-form automorphism group of a canonical representative."""
 
     key: CanonicalKey
@@ -122,7 +112,7 @@ class AutDescription:
     # live outside the base field (E3 only); the base field otherwise
     finite_elements: tuple  # Mat2 over element_field
     families: tuple  # ParamFamily over base_field
-    missing_root: Poly | None = dc_field(default=None)
+    missing_root: Poly | None = None
 
 
 def _dedupe(mats):
@@ -221,7 +211,16 @@ def aut_instantiate(desc: AutDescription, field: FieldCtx) -> list:
     if (n := aut_order(desc)) > _ENUMERATE_MAX:
         raise BudgetExceeded(f"listing {n} automorphisms over {field} refused (more than {_ENUMERATE_MAX})")
     out = list(_base_field_elements(desc))
+    q, co = field.order, field.coerce
     for fam in desc.families:
-        ss = range(field.order) if fam.param_count == 2 else (None,)
-        out.extend(fam.matrix_raw(t, s) for t in range(field.order) if fam.admissible_raw(t) for s in ss)
+        # per entry, whether it reads s and its value at every raw parameter value
+        raw = [(v == "s", [co(k) for k in cs]) for row in fam.entries for v, cs in row]
+        (ia, a), (ib, b), (ic, c), (id_, d) = [(in_s, [_horner(field, cs, x) for x in range(q)]) for in_s, cs in raw]
+        bad = {co(value) for _name, value in fam.excluded}  # every family excludes values of t
+        ss = range(q) if fam.param_count == 2 else (0,)
+        for t in range(q):
+            if t not in bad:
+                for s in ss:
+                    p = (t, s)
+                    out.append(Mat2(field, ((a[p[ia]], b[p[ib]]), (c[p[ic]], d[p[id_]]))))
     return out

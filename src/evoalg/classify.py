@@ -23,7 +23,7 @@ The `trace` of a result records the decision path with the stable tags
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import (
     GF,
@@ -127,8 +127,7 @@ def canonical_msc(key: CanonicalKey) -> EvolutionMsc:
     return EvolutionMsc(f, (zero, one, zero, zero))  # E6
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     key: CanonicalKey
     witness: BasisChange | None
     witness_field: FieldCtx

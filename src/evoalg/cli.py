@@ -160,6 +160,8 @@ def _cmd_verify(args) -> int:
         valid = aut_check(alg, g)
     elif mode == "der":
         valid = der_check(alg, g)
+    elif mode == "iso:":
+        raise SchemaError("mode iso: needs a target algebra (iso:<path or JSON document>)")
     elif mode.startswith("iso:"):
         ft, target = algebra_from_json(_load_json(mode[4:]))
         if ft is not f:

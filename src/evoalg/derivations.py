@@ -17,7 +17,7 @@ Bases are normalized to reduced row echelon form in the coordinate order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import CanonicalKey, UnsupportedKey
 from .fields import GF, FieldCtx, FieldError, MixedFields
@@ -126,8 +126,7 @@ def _nullspace(rows, f: FieldCtx):
     return canon
 
 
-@dataclass(frozen=True)
-class DerBasis:
+class DerBasis(NamedTuple):
     """Basis of a derivation algebra, rows in reduced echelon normal form."""
 
     field: FieldCtx

@@ -672,7 +672,9 @@ def _parse_fraction(text: str) -> Fraction:
     num, den = m.groups()
     try:
         return Fraction(int(num), int(den) if den is not None else 1)
-    except (ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError:
+        raise FieldError(f"bad rational {text!r}: zero denominator") from None
+    except ValueError as e:  # past the interpreter's digit limit
         raise FieldError(f"bad rational {text!r}: {e}") from None
 
 

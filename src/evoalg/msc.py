@@ -11,7 +11,7 @@ Matrices store raw field encodings internally; entries come back as `Fel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import Fel, FieldCtx, MixedFields
 
@@ -305,8 +305,7 @@ def transform(A: Msc, change: BasisChange) -> Msc:
     return Msc(f, _act_raw(f, change.g.e, A.rows, _kron4_raw(f, change.ginv.e)))
 
 
-@dataclass(frozen=True)
-class TransformedEntries:
+class TransformedEntries(NamedTuple):
     """Closed-form entries of a transformed evolution algebra; the two middle
     columns of each row agree by construction, so each row keeps one of them."""
 

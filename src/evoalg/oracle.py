@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .autgroup import BudgetExceeded, aut_check, aut_closed_form, aut_instantiate
 from .classify import CanonicalKey, _classify_raw, canonical_msc
@@ -129,8 +129,7 @@ def _der_scan_raw(E: Msc) -> set:
 # census
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     key: CanonicalKey
     orbit_representatives: tuple  # EvolutionMsc
     orbit_size_in_evolution_subset: int
@@ -138,8 +137,7 @@ class CensusRecord:
     der_dim: int
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     field: FieldCtx
     gl2_order: int
     total_evolution_msc: int

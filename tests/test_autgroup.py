@@ -181,6 +181,22 @@ class TestInstantiate:
         with pytest.raises(BudgetExceeded):
             aut_instantiate(aut_closed_form(CanonicalKey(F, "E6"), F), F)
 
+    @pytest.mark.parametrize("field", [F2, F4, F5, F9, GF(5, 2), GF(3, 3)], ids=str)
+    @pytest.mark.parametrize("label", ["E20", "E5", "E6"])
+    def test_listing_is_matrix_at_member_by_member(self, field, label):
+        # the listing reads per-entry value tables; each member must be the
+        # family's own matrix_at, in the order t then s
+        key = CanonicalKey(field, "E2", (0,)) if label == "E20" else CanonicalKey(field, label)
+        desc = aut_closed_form(key, field)
+        (fam,) = desc.families
+        ts = [t for t in field.elements() if fam.admissible_raw(t.raw)]
+        ss = list(field.elements()) if fam.param_count == 2 else [None]
+        want = [fam.matrix_at(t, s) for t in ts for s in ss]
+        assert aut_instantiate(desc, field) == want
+        q = field.order
+        excluded = 0 if label == "E5" and field.char == 2 else 1
+        assert len(want) == (q - excluded) * (q if label == "E6" else 1)
+
     def test_duplicate_free(self):
         for field in (F3, F4, F5, F9):
             for k in all_keys(field):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -357,7 +356,7 @@ class TestCompositeCheck:
             if alg is not E:
                 return res
             ginv = res.witness.ginv.mul(Mat2.of(res.witness_field, m))
-            return dataclasses.replace(res, witness=BasisChange(ginv))
+            return res._replace(witness=BasisChange(ginv))
 
         re, rf = skewed(E), real(F)
         common = CL._common_field(re.witness_field, rf.witness_field)
@@ -618,7 +617,6 @@ class TestOracleAgreementGF3:
 
 
 _BROKEN_CHECKS = """
-import dataclasses
 import importlib
 from evoalg import GF, QQ, BasisChange, EvolutionMsc, Mat2, embed
 
@@ -634,7 +632,7 @@ def broken(alg):  # E's witness times diag(2, 1), which no automorphism of E is
     if alg is not E:
         return res
     ginv = res.witness.ginv.mul(Mat2.of(QQ, ((2, 0), (0, 1))))
-    return dataclasses.replace(res, witness=BasisChange(ginv))
+    return res._replace(witness=BasisChange(ginv))
 
 
 C.classify = broken

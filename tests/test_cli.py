@@ -388,6 +388,8 @@ _EDGE_INPUTS = [
     ("classify-65-levels", ["classify", "-a", '{"field":{"kind":"Q"},"msc":' + _DEEP + "}"], 1, False),
     ("verify-65-levels", ["verify", "-a", _q_alg("1", "0", "0", "1"), "-g", _DEEP, "--mode", "aut"], 1, False),
     ("census-65-levels", ["census", "--field", _DEEP], 1, False),
+    ("t2map-zero-denominator", ["t2map", "--label", "E6", "--param", "1/0"], 1, False),
+    ("verify-iso-no-target", ["verify", "-a", _q_alg("1", "0", "0", "1"), "-g", "[[1,0],[0,1]]", "--mode", "iso:"], 1, False),
 ]
 _ONE_SECOND = {"aut-e4-gf3^64", "aut-e3-gf2^84"}  # wall bound 1 s instead of 10 s
 _GOLDEN = {"aut-e3-gf2^256": "aut_e3_gf2_256.json", "iso-e3-e6-gf2^256": "iso_e3_e6_gf2_256.json"}
@@ -411,6 +413,15 @@ class TestEdgeInputs:
         assert (proc.stdout == "") == (code == 1)
         if name in _GOLDEN:
             assert proc.stdout == (Path(__file__).parent / "data" / _GOLDEN[name]).read_text()
+
+    @pytest.mark.parametrize(
+        "name, fault",
+        [("t2map-zero-denominator", "bad rational '1/0': zero denominator"), ("verify-iso-no-target", "iso: needs a target algebra")],
+    )
+    def test_error_line_names_the_fault(self, name, fault):
+        argv = next(argv for n, argv, _code, _slow in _EDGE_INPUTS if n == name)
+        proc = _evoalg(*argv)
+        assert proc.returncode == 1 and proc.stderr.startswith("evoalg: ") and fault in proc.stderr
 
     def test_e3_golden_automorphisms_are_those_of_gf4(self):
         # E3's group needs only the cube roots of unity: the brute-force group
