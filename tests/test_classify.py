@@ -296,7 +296,12 @@ class TestRawRootStep:
     problem to the cached solver and builds no Poly."""
 
     # every element of GF(4) is a square, so only its cube roots need an extension
-    @pytest.mark.parametrize("field, extended_labels", [(F4, {"E3"}), (GF(13), {"E3", "E4"})], ids=str)
+    # a set's str follows the hash seed, so its id lists the labels sorted
+    @pytest.mark.parametrize(
+        "field, extended_labels",
+        [(F4, {"E3"}), (GF(13), {"E3", "E4"})],
+        ids=lambda v: "{%s}" % ", ".join(map(repr, sorted(v))) if isinstance(v, set) else str(v),
+    )
     def test_classify_raw_builds_no_poly(self, monkeypatch, field, extended_labels):
         built, init = [], Poly.__init__
         monkeypatch.setattr(Poly, "__init__", lambda self, *args: built.append(args) or init(self, *args))
