@@ -8,11 +8,13 @@ k * ceil(log2 p) inside the size budget, 1,382 fields in all. Each field is
 built once, from cold, in this process. The script prints the fields that
 took over 1 s, the slowest five, and the sha256 of the lines "p k modulus",
 the modulus low degree first, in sweep order: equal digests mean equal moduli.
+With --expect SHA256 it exits 1 when the digest differs.
 
 Example:
-    PYTHONPATH=src python3 scripts/moduli_sweep.py
+    PYTHONPATH=src python3 scripts/moduli_sweep.py --expect 76a6cf7b2a2589458d973987534efc8a9c7c2614ee8b0a961354f0005721356f
 """
 
+import argparse
 import hashlib
 import time
 
@@ -25,6 +27,9 @@ PRIMES = [p for p in range(2, 64) if all(p % d for d in range(2, p))] + [
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", metavar="SHA256", help="exit 1 unless the digest is this one")
+    args = parser.parse_args()
     digest, times = hashlib.sha256(), []
     for p in PRIMES:
         GF(p)  # primality is proved here, outside the timed builds
@@ -38,6 +43,9 @@ def main() -> int:
     print("over 1 s:", ", ".join(f"GF({p}^{k}) {t:.2f} s" for t, p, k in times if t > 1) or "none")
     print("slowest five:", ", ".join(f"GF({p}^{k}) {t:.2f} s" for t, p, k in times[:5]))
     print("sha256:", digest.hexdigest())
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        print("sha256 differs from the expected", args.expect)
+        return 1
     return 0
 
 

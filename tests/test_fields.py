@@ -103,17 +103,19 @@ class TestConstruction:
 
 class TestRabinRunsOnce:
     """field_make proves a modulus irreducible once: a default modulus by the
-    scan that finds it, a caller's modulus before its field is interned."""
+    scan that finds it, a caller's modulus before its field is interned. The
+    test is Ben-Or's; the class keeps the name it had under Rabin's."""
 
     @staticmethod
     def _count(monkeypatch):
-        """The moduli Rabin's test is run on from now on, in call order."""
+        """The moduli Ben-Or's test is run on from now on, in call order. The
+        scan also passes whether its root sieve has already run on m."""
         calls = []
         test = fields_mod._pf_is_irreducible
 
-        def counted(m, f):
+        def counted(m, f, *rootless):
             calls.append(m)
-            return test(m, f)
+            return test(m, f, *rootless)
 
         monkeypatch.setattr(fields_mod, "_pf_is_irreducible", counted)
         return calls
@@ -263,10 +265,10 @@ class TestSizeBudget:
         tested = []
         test = fields_mod._pf_is_irreducible
 
-        def counted(m, f):
+        def counted(m, f, *rootless):
             tested.append(m)
             assert any(m[1:-1]) and len(tested) < 50, m  # stops a scan of the binomials
-            return test(m, f)
+            return test(m, f, *rootless)
 
         monkeypatch.setattr(fields_mod, "_pf_is_irreducible", counted)
         m = GF(p, k).modulus
@@ -625,6 +627,66 @@ class TestRationalRoots:
         k, r, _ = find_root(QQ, Poly(QQ, coeffs))
         assert time.perf_counter() - start < 1
         assert k is QQ and r.raw == first
+
+
+def _bisection_root(x, n):
+    """Exact integer n-th root of x >= 0 or None, by bisection on
+    [0, 2^(bits / n + 1))."""
+    lo, hi = 0, 1 << x.bit_length() // n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**n <= x else (lo, mid)
+    return lo if lo**n == x else None
+
+
+class TestIntegerRoots:
+    """The pure x^n = u path over Q: residues turn away non-powers, square
+    roots come from math.isqrt and cube roots from a seeded Newton run."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_bisection(self, n):
+        rng = random.Random(n)
+        values = list(range(300))
+        for _ in range(25):
+            r = rng.getrandbits(rng.randrange(1, 4000 // n))
+            values += [r**n - 1, r**n, r**n + 1, rng.getrandbits(rng.randrange(1, 4000))]
+        for x in values:
+            if x >= 0:
+                assert fields_mod._int_nthroot(x, n) == _bisection_root(x, n), (x, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_residue_tables(self, n):
+        M, tables = fields_mod._POWER_RESIDUES[n]
+        ms = [m for m, _ in tables]
+        assert M == math.prod(ms) < 2**63 and math.lcm(*ms) == M  # pairwise coprime
+        for m, powers in tables:
+            assert powers == {r for r in range(m) if any(pow(x, n, m) == r for x in range(m))}, m
+        # by the Chinese remainder theorem, the share of residues mod M that
+        # pass every table, which every n-th power does
+        assert math.prod(len(powers) / m for m, powers in tables) < 0.01
+
+    def test_cube_root_floors(self):
+        for x in [*range(5000), *(r**3 + d for r in (2**200, 3**500, 10**600) for d in (-1, 0, 1))]:
+            r = fields_mod._icbrt(x)
+            assert r**3 <= x < (r + 1) ** 3, x
+
+    def test_denominator_root_only_after_numerator_root(self, monkeypatch):
+        """The first six numerators fail a residue table, so math.isqrt never
+        runs; 2545 = 5 * 509 passes every table, so its square root is taken.
+        No denominator's root is taken unless the numerator has one."""
+        isqrt_calls, root_calls = [], []
+        isqrt, nthroot = math.isqrt, fields_mod._int_nthroot
+        monkeypatch.setattr(math, "isqrt", lambda x: isqrt_calls.append(x) or isqrt(x))
+        monkeypatch.setattr(fields_mod, "_int_nthroot", lambda x, n: root_calls.append(x) or nthroot(x, n))
+        for num in (2, 3, 7, 10**400 + 1, 3**2001, 2 * 7**600, 2545):
+            with pytest.raises(NeedsExtension):
+                find_root(QQ, Poly(QQ, [-Fraction(num, 11**300), 0, 1]))
+            assert root_calls == [num]
+            root_calls.clear()
+        assert isqrt_calls == [2545]
+        isqrt_calls.clear()
+        assert find_root(QQ, Poly(QQ, [-Fraction(9, 11**300), 0, 1]))[1].raw == Fraction(3, 11**150)
+        assert isqrt_calls == [9, 11**300] and root_calls == [9, 11**300]
 
 
 class TestEncoding:

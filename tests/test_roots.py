@@ -257,16 +257,62 @@ class TestModuliAgainstTrialDivision:
 
 
 class TestIrreducibilityExhaustive:
-    """Ben-Or's test against trial division on every monic polynomial of
-    small degree, zero constant terms included: GF(2) runs the packed-int
-    path, GF(3) the generic one."""
+    """Ben-Or's test on every monic polynomial of small degree, zero constant
+    terms included: GF(2) runs the packed-int path, GF(3) and GF(5) the
+    generic one, whose gcds of steps 3 and 4 are batched from degree 8 on."""
 
     @pytest.mark.parametrize("p,top", [(2, 10), (3, 6)])
     def test_every_monic(self, p, top):
         f = GF(p)
         for d in range(1, top + 1):
             for m in _monics(p, d):
-                assert fields_mod._pf_is_irreducible(m, f) == ref_is_irreducible(m, p), m
+                want = ref_is_irreducible(m, p)
+                assert fields_mod._pf_is_irreducible(m, f) == want, m
+                if d > 1 and all(_index_at(m, a, p) for a in range(p)):  # as the root sieve passes it
+                    assert fields_mod._pf_is_irreducible(m, f, True) == want, m
+
+    @pytest.mark.parametrize("p,top", [(3, 8), pytest.param(5, 6, marks=pytest.mark.slow)])
+    def test_every_monic_against_products(self, p, top):
+        # the reducible monics of degree d are the products of two monics of
+        # lower degree; those without a root in GF(p) are tested again as the
+        # scan's root sieve passes them, from i = 2 on
+        f = GF(p)
+        for d in range(1, top + 1):
+            reducible = {
+                _ref_mul(g, h, p) for i in range(1, d // 2 + 1) for g in _monics(p, i) for h in _monics(p, d - i)
+            }
+            for m in _monics(p, d):
+                want = m not in reducible
+                assert fields_mod._pf_is_irreducible(m, f) == want, m
+                if d > 1 and all(_index_at(m, a, p) for a in range(p)):
+                    assert fields_mod._pf_is_irreducible(m, f, True) == want, m
+
+
+def _index_at(m, a, p):
+    """m(a) mod p."""
+    return functools.reduce(lambda acc, c: acc * a + c, reversed(m), 0) % p
+
+
+class TestBenOrGcdCount:
+    """The root sieve and the batched gcds, counted: `_px_gcd` calls of one
+    default-modulus scan (before either, 814 for GF(3^128), 1,305 for GF(7^85)
+    and 8,663 for GF(61^41)); the moduli are the scan's earlier ones."""
+
+    @pytest.mark.parametrize(
+        "p,k,low,gcds",
+        [
+            (3, 128, (2, 0, 1, 2, 0, 1), 229),
+            (7, 85, (3, 6, 2, 1), 412),
+            pytest.param(61, 41, (37, 1, 1), 2587, marks=pytest.mark.slow),
+        ],
+        ids=["3^128", "7^85", "61^41"],
+    )
+    def test_scan(self, monkeypatch, p, k, low, gcds):
+        calls = []
+        gcd = fields_mod._px_gcd
+        monkeypatch.setattr(fields_mod, "_px_gcd", lambda *args: calls.append(args) or gcd(*args))
+        assert fields_mod._first_irreducible(p, k) == low + (0,) * (k - len(low)) + (1,)
+        assert len(calls) <= gcds
 
 
 def _irreducibles(p, d):
