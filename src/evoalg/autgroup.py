@@ -115,15 +115,6 @@ class AutDescription(NamedTuple):
     missing_root: Poly | None = None
 
 
-def _dedupe(mats):
-    seen, out = set(), []
-    for m in mats:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return tuple(out)
-
-
 def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
     """The known automorphism group description for a canonical label over
     the field."""
@@ -162,10 +153,10 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
                 mats.append(Mat2(k, ((x, k.zero), (k.zero, k.mul(x, x)))))
             for y in roots:
                 mats.append(Mat2(k, ((k.zero, y), (k.mul(y, y), k.zero))))
-            elements = _dedupe(mats)
+            elements = tuple(dict.fromkeys(mats))
             element_field = k
     elif label == "E4":
-        elements = _dedupe((ident, Mat2(f, ((f.one, f.zero), (f.zero, f.neg(f.one))))))
+        elements = tuple(dict.fromkeys((ident, Mat2(f, ((f.one, f.zero), (f.zero, f.neg(f.one)))))))
 
     return AutDescription(key, f, element_field, elements, (), missing)
 

@@ -27,15 +27,13 @@ from typing import NamedTuple
 
 from .fields import (
     GF,
-    Embedding,
     Fel,
     FieldCtx,
     FieldTooLarge,
     MixedFields,
     NeedsExtension,
     Poly,
-    _finite_root,
-    _rational_root,
+    _root_raw,
     embed,
 )
 from .msc import BasisChange, EvolutionMsc, Mat2, transform_evolution_raw
@@ -137,14 +135,12 @@ class ClassificationResult(NamedTuple):
 
 
 def _root_witness(f: FieldCtx, raw_coeffs, witness: bool):
-    """find_root on raw coefficients: (field2, raw root, embedding, None), or
+    """`_root_raw` for a witness: (field2, raw root, embedding, None), or
     (f, None, None, the polynomial when Q holds no root, None without a witness)."""
     if not witness:
         return f, None, None, None
-    if f.order is not None:  # find_root's cached root problem, on raw coefficients
-        return (*_finite_root(f, raw_coeffs), None)
-    r = _rational_root(raw_coeffs)  # find_root's uncached exact root over Q
-    return (f, r, Embedding(f, f), None) if r is not None else (f, None, None, Poly(f, raw_coeffs))
+    K, r, emb = _root_raw(f, raw_coeffs)
+    return K, r, emb, None if r is not None else Poly(f, raw_coeffs)
 
 
 def _classify_raw(f: FieldCtx, abcd, witness: bool = True):
@@ -153,7 +149,10 @@ def _classify_raw(f: FieldCtx, abcd, witness: bool = True):
     missing-root Poly or None, trace, raw lambda or None). Each case states
     its g^-1 in closed form; the E2(0) cases reach [[1,0,0,0],[0,0,0,0]] and
     then take the basis f1 = e1 + e2, f2 = -e2: g^-1 times ((1, 0), (1, -1)).
-    witness=False skips the three root steps (g^-1 None). Raw 0 is falsy."""
+    Cases 1.3 and 2.1.1 with a = 0 are 1.2 and 2.1.1 with b = 0 after swapping
+    e1 and e2, (a, b, c, d) -> (d, c, b, a): they take that case's g^-1 with
+    its rows swapped, as case 2.3 does 2.2's. witness=False skips the three
+    root steps (g^-1 None). Raw 0 is falsy."""
     a, b, c, d = abcd
     zero, one = f.zero, f.one
     mul, sqr, div, inv, neg = f.mul, f.sqr, f.div, f.inv, f.neg
@@ -169,16 +168,14 @@ def _classify_raw(f: FieldCtx, abcd, witness: bool = True):
             if f.sort_key(c2) < f.sort_key(b2):
                 return "E1", (c2, b2), ((zero, inv(a)), (inv(d), zero)), f, None, ("1.1",), None
             return "E1", (b2, c2), ((inv(a), zero), (zero, inv(d))), f, None, ("1.1",), None
-        if a:
-            # case 1.2 (d = 0, so b, c != 0) -> E2(bc^2/a^3), g^-1 = diag(1/a, c/a^2)
-            a2 = sqr(a)
-            ginv = ((inv(a), zero), (zero, div(c, a2)))
-            return "E2", (div(mul(b, sqr(c)), mul(a, a2)),), ginv, f, None, ("1.2",), None
-        if d:
-            # case 1.3 (a = 0, so b, c != 0): swap the basis, then as in 1.2
-            d2 = sqr(d)
-            ginv = ((zero, div(b, d2)), (inv(d), zero))
-            return "E2", (div(mul(c, sqr(b)), mul(d, d2)),), ginv, f, None, ("1.3",), None
+        if a or d:
+            # case 1.2 (d = 0, so b, c != 0) -> E2(bc^2/a^3), g^-1 = diag(1/a, c/a^2);
+            # case 1.3 (a = 0) is 1.2 on (A, B, C) = (d, c, b), rows swapped back
+            A, B, C = (a, b, c) if a else (d, c, b)
+            A2 = sqr(A)
+            ginv = ((inv(A), zero), (zero, div(C, A2)))
+            params = (div(mul(B, sqr(C)), mul(A, A2)),)
+            return "E2", params, ginv if a else (ginv[1], ginv[0]), f, None, ("1.2" if a else "1.3",), None
         # case 1.4 (a = d = 0, b, c != 0) -> E3, g^-1 = diag(xi, c xi^2) with xi^3 = 1/(bc^2)
         K, xi, emb, needs = _root_witness(f, (neg(inv(mul(b, sqr(c)))), zero, zero, one), witness)
         ginv = None if xi is None else ((xi, zero), (zero, K.mul(emb.raw(c), K.sqr(xi))))
@@ -222,14 +219,11 @@ def _classify_raw(f: FieldCtx, abcd, witness: bool = True):
         ginv = None if eta is None else ((emb.raw(inv(s)), eta), (emb.raw(div(lam, s)), e2))
         return "E4", (), ginv, K, needs, ("2.1.1",), lam
 
-    # exactly one of a, b is zero -> E2(0): ((1/a, 0), (lam/a, 1)) if b = 0, or
-    # ((1/(b lam^2), 1), (1/(b lam), 0)) if a = 0, reaches [[1,0,0,0],[0,0,0,0]], then the fix-up
-    if not b:
-        ginv = ((inv(a), zero), (f.add(div(lam, a), one), neg(one)))
-    else:
-        bl = mul(b, lam)
-        ginv = ((f.add(inv(mul(bl, lam)), one), neg(one)), (inv(bl), zero))
-    return "E2", (zero,), ginv, f, None, ("2.1.1",), lam
+    # exactly one of a, b is zero -> E2(0): if b = 0, ((1/a, 0), (c/a^2, 1)) reaches
+    # [[1,0,0,0],[0,0,0,0]], then the fix-up; a = 0 is that on (A, C) = (d, b), rows swapped back
+    A, C = (a, c) if a else (d, b)
+    ginv = ((inv(A), zero), (f.add(div(C, sqr(A)), one), neg(one)))
+    return "E2", (zero,), ginv if a else (ginv[1], ginv[0]), f, None, ("2.1.1",), lam
 
 
 def classify(E: EvolutionMsc, witness: bool = True) -> ClassificationResult:

@@ -120,10 +120,7 @@ def _nullspace(rows, f: FieldCtx):
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(red[i][fc])
         vecs.append(v)
-    if not vecs:
-        return []
-    canon, _ = _rref(vecs, f)
-    return canon
+    return _rref(vecs, f)[0]
 
 
 class DerBasis(NamedTuple):
@@ -204,5 +201,4 @@ def der_closed_form(key: CanonicalKey, field: FieldCtx) -> DerBasis:
         label = "E20" if key.params[0].is_zero else "E2b"
     gens = _CLOSED_IN_CHAR.get((field.char, label), _CLOSED[label])
     vecs = [tuple(field.coerce(c) for c in g) for g in gens]
-    canon, _ = _rref(vecs, field) if vecs else ([], [])
-    return _basis_from_vectors(field, canon)
+    return _basis_from_vectors(field, _rref(vecs, field)[0])

@@ -34,9 +34,10 @@ k * ceil(log2 p) must stay within `_SIZE_BUDGET`, so building any field
 accepted takes bounded work.
 
 Root problems over finite fields and default moduli are solved once per
-process: `find_root` keeps a bounded cache keyed on (field, coefficients),
-never used over Q, and a default-modulus field is also interned without its
-modulus, so neither `find_root` nor `GF(p, k)` repeats its search.
+process: `_root_raw`, the one root step behind `find_root` and `classify`,
+keeps a bounded cache keyed on (field, coefficients), never used over Q, and
+a default-modulus field is also interned without its modulus, so neither a
+root problem nor `GF(p, k)` repeats its search.
 """
 
 from __future__ import annotations
@@ -244,6 +245,14 @@ def _px_gcd(a: int, b: int, p: int) -> int:
     return _index([c * s for c in a], p)
 
 
+def _barrett(m, p: int) -> tuple:
+    """Barrett's constants for the monic m of degree k over GF(p), as indices:
+    mu = x^(2k-1) div m and m' = -(m - x^k) mod p."""
+    k = len(m) - 1
+    mu = _divmod_digits([0] * (2 * k - 1) + [1], list(m), p)[0]
+    return _index(mu, p), _index([-c for c in m[:-1]], p)
+
+
 class _PolyMod:
     """GF(p)[x] modulo a monic m of degree k >= 1, irreducible or not, on
     indices below p^k. For odd p a product a b is reduced by Barrett's method
@@ -257,8 +266,7 @@ class _PolyMod:
         self.p, self.k, self.m = p, k, _index(m, p)
         if p != 2:
             self._w = w = (k**3 * p**4).bit_length() + 1
-            mu = _divmod_digits([0] * (2 * k - 1) + [1], list(m), p)[0]
-            self._mu, self._m_neg = (_pack(_index(c, p), p, w) for c in (mu, [-c for c in m[:-1]]))
+            self._mu, self._m_neg = (_pack(c, p, w) for c in _barrett(m, p))
 
     def mul(self, a, b):
         if self.p == 2:
@@ -348,9 +356,7 @@ class _PolyRing:
         self._mul, self._add = (_clmul, int.__xor__) if p == 2 else (int.__mul__, int.__add__)
         self._consts = [_poly_divmod((0,) * (2 * d - 1) + (f.one,), h, f)[0], [f.neg(c) for c in h[:-1]]]
         if k > 1:
-            m = f.modulus
-            mu = _divmod_digits([0] * (2 * k - 1) + [1], list(m), p)[0]
-            self._consts += (_index(mu, p), _index([-c for c in m[:-1]], p))
+            self._consts += _barrett(f.modulus, p)
         if p == 2:
             return self._size(1)
         # one product of the largest operands, in slots past a bound of every
@@ -1340,24 +1346,31 @@ def find_root(field: FieldCtx, poly: Poly) -> tuple[FieldCtx, Fel, Embedding]:
         raise ConstantPolynomial("root of a constant polynomial requested")
     if deg > 3:
         raise FieldError("only degrees 1..3 are supported")
-    if field.order is None:
-        # never cached: rational inputs reach heights of 10^400 and rarely repeat
-        r = _rational_root(poly.coeffs)
-        if r is None:
-            raise NeedsExtension(poly)
-        return field, Fel(field, r), Embedding(field, field)
-    ext, root, emb = _finite_root(field, poly.coeffs)
+    ext, root, emb = _root_raw(field, poly.coeffs)
+    if root is None:
+        raise NeedsExtension(poly)
     return ext, Fel(ext, root), emb
+
+
+def _root_raw(field: FieldCtx, coeffs: tuple):
+    """The root step of `find_root` and `classify`, on raw coefficients:
+    (field2, raw root, embedding), or (field, None, None) over Q when no
+    rational root exists. Finite fields go through the cache; Q never does,
+    since rational inputs reach heights of 10^400 and rarely repeat."""
+    if field.order is not None:
+        return _finite_root(field, coeffs)
+    r = _rational_root(coeffs)
+    return field, r, None if r is None else embed(field, field)
 
 
 @functools.lru_cache(maxsize=_ROOT_CACHE_MAX)
 def _finite_root(field: FieldCtx, coeffs: tuple):
-    """`find_root` over a finite field, on raw coefficients: (field2, raw
+    """`_root_raw` over a finite field, on raw coefficients: (field2, raw
     root, embedding). Fields are interned and the answer is deterministic, so
     each (field, coeffs) is solved once while it stays in the cache."""
     root = _first_root_raw(field, coeffs)
     if root is not None:
-        return field, root, Embedding(field, field)
+        return field, root, embed(field, field)
     # no root: for degree 2 or 3 this means irreducible, so one extension of
     # the same degree splits off a root
     ext, emb = extension_of(field, len(coeffs) - 1)

@@ -313,6 +313,65 @@ class TestRawRootStep:
                 extended.add(label)
         assert built == [] and extended == extended_labels
 
+    # 1/(b c^2) = 1 is a cube in GF(13), 1/2 = 7 is not
+    @pytest.mark.parametrize("abcd", [(0, 1, 1, 0), (0, 2, 1, 0)])
+    def test_classify_shares_the_finite_root_cache(self, abcd):
+        F13 = GF(13)
+        E = EvolutionMsc(F13, abcd)
+        fields_mod._finite_root.cache_clear()
+        first = classify(E)
+        info = fields_mod._finite_root.cache_info()
+        assert first.trace == ("1.4",) and (info.hits, info.misses) == (0, 1)
+        assert classify(E) == first
+        info = fields_mod._finite_root.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    # x^3 = 1 has the rational root 1, x^3 = 1/2 none
+    @pytest.mark.parametrize("abcd, rational", [((0, 1, 1, 0), True), ((0, 2, 1, 0), False)])
+    def test_classify_over_q_leaves_the_cache_alone(self, abcd, rational):
+        before = fields_mod._finite_root.cache_info()
+        res = classify(EvolutionMsc.of(QQ, abcd))
+        assert (res.witness is not None, res.needs_extension is None) == (rational, rational)
+        assert fields_mod._finite_root.cache_info() == before
+
+
+class TestBasisSwapSymmetry:
+    """Cases 1.3 and 2.1.1 with a = 0 are 1.2 and 2.1.1 with b = 0 after
+    swapping e1 and e2: the swapped algebra (d, c, b, a) takes the other case,
+    with the same params and the rows of the witness swapped."""
+
+    @staticmethod
+    def check(algebras):
+        seen = {"1.3": 0, "2.1.1": 0}
+        for E in algebras:
+            res = classify(E)
+            a, b, c, d = E.abcd
+            if res.trace == ("2.1.1",) and res.key.label == "E2" and not a:
+                want = ("2.1.1",)
+            elif res.trace == ("1.3",):
+                want = ("1.2",)
+            else:
+                continue
+            seen[res.trace[0]] += 1
+            swapped = classify(EvolutionMsc(E.field, (d, c, b, a)))
+            assert swapped.trace == want and (want == ("1.2",) or not c)  # c is the swapped b
+            assert swapped.key == res.key
+            row1, row2 = swapped.witness.ginv.e
+            assert res.witness.ginv.e == (row2, row1)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("field", [F3, F4, F5, F7, F9])
+    def test_every_algebra_over_small_fields(self, field):
+        self.check(all_evolution(field))
+
+    def test_seeded_algebras_over_q(self):
+        rng = random.Random(31)
+
+        def entry():  # zero a third of the time, so both cases come up
+            return Fraction(0) if rng.random() < 1 / 3 else Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+
+        self.check(EvolutionMsc(QQ, tuple(entry() for _ in range(4))) for _ in range(500))
+
 
 def monomial_pairs(field, rng, n):
     """n pairs (E, F) with F the image of E under a change of basis
