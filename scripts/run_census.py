@@ -35,7 +35,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fields", type=int, nargs="+", default=[2, 3, 4, 5, 9])
     ap.add_argument("--max-ext", type=int, default=6)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--json", help="write the last report as JSON to this path")
     ap.add_argument("--csv", help="write the last report as CSV to this path")
     args = ap.parse_args()
@@ -45,7 +44,7 @@ def main() -> int:
         try:
             F = field_of(q)
             t0 = time.perf_counter()
-            rep = census(F, max_witness_ext=args.max_ext, jobs=args.jobs)
+            rep = census(F, max_witness_ext=args.max_ext)
         except (BudgetExceeded, FieldError) as e:
             print(f"run_census.py: {e}", file=sys.stderr)
             return 1

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .classify import CanonicalKey, UnsupportedKey
-from .fields import Fel, FieldCtx, InfiniteField, MixedFields, NeedsExtension, Poly, _horner, find_root
+from .fields import Fel, FieldCtx, FieldTooLarge, InfiniteField, MixedFields, NeedsExtension, Poly, _horner, find_root
 from .msc import BasisChange, Mat2, Msc, SingularChange, transform
 
 _ENUMERATE_MAX = 10_000  # automorphisms listed by one `aut_instantiate`
@@ -141,11 +141,12 @@ def aut_closed_form(key: CanonicalKey, field: FieldCtx) -> AutDescription:
         if s1 == s2:
             elements = (ident, swap)
     elif label == "E3":
+        unity = Poly(f, (1, 1, 1))  # x^2 + x + 1, whose roots are the primitive cube roots of unity
         try:
-            k, omega, emb = find_root(f, Poly(f, (1, 1, 1)))
-        except NeedsExtension as e:
+            k, omega, emb = find_root(f, unity)
+        except (NeedsExtension, FieldTooLarge):  # over Q, or past the size budget
             elements = (ident, swap)
-            missing = e.poly
+            missing = unity
         else:
             roots = [k.one, omega.raw, k.mul(omega.raw, omega.raw)]
             mats = []

@@ -179,7 +179,7 @@ def _cmd_census(args) -> int:
     if args.max_ext < 1:
         raise SchemaError(f"--max-ext must be at least 1, got {args.max_ext}")
     f = field_from_json(_load_json(args.field))
-    report = census(f, max_witness_ext=args.max_ext, jobs=args.jobs)
+    report = census(f, max_witness_ext=args.max_ext)
     if args.csv:  # first, so a failed write leaves stdout empty
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(census_to_csv(report))
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="orbit census with brute-force cross-checks")
     p.add_argument("--field", required=True, help="field descriptor JSON (path or inline)")
     p.add_argument("--max-ext", type=int, default=6, help="witness extension budget")
-    p.add_argument("--jobs", type=int, default=1, help="upper bound on processes, this one included (also at most the CPU count and one per 8192 algebras)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the census runs in one process")
     p.add_argument("--csv", help="also write a CSV summary to this path")
     p.set_defaults(fn=_cmd_census)
 

@@ -25,7 +25,6 @@ encoded instead.
 from __future__ import annotations
 
 import itertools
-import os
 from typing import NamedTuple
 
 from .autgroup import BudgetExceeded, aut_check, aut_closed_form, aut_instantiate
@@ -36,7 +35,6 @@ from .msc import BasisChange, EvolutionMsc, Mat2, Msc, transform, transform_evol
 
 _GL_MAX_ORDER = 32  # enumeration scans q^4 matrices
 _CENSUS_MAX_ORDER = 16
-_MIN_CHUNK = 8192  # census algebras per process below which a fork costs more than it saves
 
 
 def _check_scan(field: FieldCtx, what: str):
@@ -192,59 +190,17 @@ def _verify_witness(F: FieldCtx, abcd, label, params, ginv, K, max_ext: int, tar
     return _image_raw(K.tables, abcd, ginv) == target
 
 
-def _phase1_chunk(F: FieldCtx, lo: int, hi: int, max_ext: int):
-    """Classify and witness-check the evolution algebras over F with indices
-    [lo, hi) on raw entries. Returns whether every witness held and the raw
-    key (label, params) of each algebra, one shared tuple per distinct key."""
+def _phase1(F: FieldCtx, max_ext: int):
+    """Classify and witness-check every evolution algebra over F, in index
+    order, on raw entries. Returns whether every witness held and the raw key
+    (label, params) of each algebra, one shared tuple per distinct key."""
     targets, shared = {}, {}
     ok, keys = True, []
-    for i in range(lo, hi):
+    for i in range(F.order**4):
         abcd = _entries(F.order, i)
         label, params, ginv, K, *_ = _classify_raw(F, abcd)
         keys.append(shared.setdefault((label, params), (label, params)))
         ok &= _verify_witness(F, abcd, label, params, ginv, K, max_ext, targets)
-    return ok, keys
-
-
-def _phase1_child(conn, *chunk):
-    """Forked side of `_phase1`: sends one chunk, or its exception, over `conn`."""
-    try:
-        conn.send(_phase1_chunk(*chunk))
-    except Exception as e:
-        conn.send(e)
-
-
-def _phase1(F: FieldCtx, total: int, jobs: int, max_ext: int) -> tuple:
-    """`_phase1_chunk` over all `total` algebras in `jobs` chunks: the first
-    in this process, one in each of `jobs - 1` forked children. Every pipe is
-    read before any join, and a child's exception is raised here."""
-    if jobs == 1:
-        return _phase1_chunk(F, 0, total, max_ext)
-    from multiprocessing import get_context  # imported only where a census forks
-
-    ctx, children = get_context("fork"), []
-    try:
-        for w in range(1, jobs):
-            recv, send = ctx.Pipe(duplex=False)
-            args = (send, F, total * w // jobs, total * (w + 1) // jobs, max_ext)
-            proc = ctx.Process(target=_phase1_child, args=args, daemon=True)
-            proc.start()
-            children.append((proc, recv))
-            send.close()
-        ok, keys = _phase1_chunk(F, 0, total // jobs, max_ext)
-        sent = [recv.recv() for _, recv in children]
-    finally:
-        # a child has nothing left to do once its chunk is read, and none
-        # outlives the call, also when this process's own chunk raised
-        for proc, recv in children:
-            recv.close()
-            proc.terminate()
-            proc.join()
-    for chunk in sent:
-        if isinstance(chunk, Exception):
-            raise chunk
-        ok &= chunk[0]
-        keys += chunk[1]
     return ok, keys
 
 
@@ -342,10 +298,8 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
                           fixes C under each of them
       der_closed_form_ok  solver, closed forms and derivation scans agree
 
-    `jobs` is an upper bound on the processes, this one included: it is
-    clamped to [1, CPU count] and to one process per `_MIN_CHUNK` algebras,
-    so fields below GF(13) run in this process and never fork. The result is
-    deterministic and independent of it.
+    The census runs in this process; `jobs` is accepted for compatibility
+    and has no effect.
     """
     if field.order is None:
         raise InfiniteField("census needs a finite field")
@@ -354,10 +308,9 @@ def census(field: FieldCtx, max_witness_ext: int = 6, jobs: int = 1) -> CensusRe
         raise BudgetExceeded(f"census over {field} refused (order {q} > {_CENSUS_MAX_ORDER})")
     F = field
     total = q**4
-    jobs = max(1, min(jobs, os.cpu_count() or 1, total // _MIN_CHUNK))
 
-    # phase 1: classify + witness verification, partitionable over processes
-    witnesses_ok, keys = _phase1(F, total, jobs, max_witness_ext)  # raw keys, index order
+    # phase 1: classify + witness verification
+    witnesses_ok, keys = _phase1(F, max_witness_ext)  # raw keys, index order
     canon = {rk: CanonicalKey(F, rk[0], tuple(Fel(F, p) for p in rk[1])) for rk in set(keys)}
     by_sort_key = lambda rk: canon[rk].sort_key()
 

@@ -124,6 +124,15 @@ class TestClosedForm:
         assert set(desc.finite_elements) == {Mat2.identity(QQ), Mat2.swap(QQ)}
         assert desc.missing_root == Poly(QQ, (1, 1, 1))
 
+    def test_e3_past_the_size_budget_answers_as_over_q(self):
+        # 2^129 = 2 (mod 3), so the cube roots of unity live in GF(2^258),
+        # past the size budget; the group over the base field is {1, swap}
+        F = GF(2, 129)
+        desc = aut_closed_form(CanonicalKey(F, "E3"), F)
+        assert desc.element_field is F and desc.missing_root == Poly(F, (1, 1, 1))
+        assert aut_order(desc) == 2
+        assert set(aut_instantiate(desc, F)) == {Mat2.identity(F), Mat2.swap(F)}
+
     def test_e3_root_field_is_quadratic_when_needed(self):
         desc = aut_closed_form(CanonicalKey(F5, "E3"), F5)
         assert desc.element_field.order == 25

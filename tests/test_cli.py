@@ -369,6 +369,8 @@ _EDGE_INPUTS = [
     # witnesses in GF(3^128) and GF(2^252), whose embeddings take seconds; aut needs none
     ("aut-e4-gf3^64", ["aut", "-a", _gf_alg(3, 64, 1, _X, 0, 0)], 0, False),
     ("aut-e3-gf2^84", ["aut", "-a", _gf_alg(2, 84, 0, _X, 1, 0)], 0, False),
+    # the cube roots of unity of E3's group live in GF(2^258), past the budget
+    ("aut-e3-gf2^129", ["aut", "-a", _gf_alg(2, 129, 0, 1, 1, 0)], 0, False),
     ("der-e3-gf2^256", ["der", "-a", _gf_alg(2, 256, 0, _X, 1, 0)], 0, False),
     ("census-gf2^256", ["census", "--field", '{"kind":"GF","p":2,"k":256}'], 1, False),
     ("classify-e3-gf3^128", ["classify", "-a", _gf_alg(3, 128, 0, _X, 1, 0)], 0, True),
@@ -391,7 +393,7 @@ _EDGE_INPUTS = [
     ("t2map-zero-denominator", ["t2map", "--label", "E6", "--param", "1/0"], 1, False),
     ("verify-iso-no-target", ["verify", "-a", _q_alg("1", "0", "0", "1"), "-g", "[[1,0],[0,1]]", "--mode", "iso:"], 1, False),
 ]
-_ONE_SECOND = {"aut-e4-gf3^64", "aut-e3-gf2^84"}  # wall bound 1 s instead of 10 s
+_ONE_SECOND = {"aut-e4-gf3^64", "aut-e3-gf2^84", "aut-e3-gf2^129"}  # wall bound 1 s instead of 10 s
 _GOLDEN = {"aut-e3-gf2^256": "aut_e3_gf2_256.json", "iso-e3-e6-gf2^256": "iso_e3_e6_gf2_256.json"}
 
 

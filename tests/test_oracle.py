@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import os
 import random
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -36,57 +35,6 @@ from evoalg.msc import transform_evolution_raw
 from evoalg.serialize import census_to_csv, census_to_json, dumps
 
 from conftest import F2, F3, F4, F5, F7
-
-
-class ChunkFailure(RuntimeError):
-    """Raised on purpose inside a census chunk."""
-
-
-@pytest.fixture
-def fake_fork(monkeypatch):
-    """The census's fork context replaced by a fake that records the children
-    started and runs their chunks in this process, so no large jobs value
-    ever reaches the OS; returns the list of children started."""
-    import multiprocessing
-
-    started = []
-
-    class FakePipe(list):
-        """Both ends of a pipe held in memory, so a chunk of any size is sent
-        without a reader."""
-
-        send = list.append
-
-        def recv(self):
-            return self.pop(0)
-
-        def close(self):
-            pass
-
-    class FakeProcess:
-        def __init__(self, target, args, daemon):
-            self.target, self.args = target, args
-
-        def start(self):
-            started.append(self)
-            self.target(*self.args)
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
-
-    class FakeContext:
-        Process = FakeProcess
-
-        @staticmethod
-        def Pipe(duplex):
-            end = FakePipe()
-            return end, end
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
-    return started
 
 
 class TestGL2:
@@ -346,8 +294,7 @@ class TestCensus:
             for E in r.orbit_representatives:
                 assert classify(E).key == r.key
 
-    def test_jobs_do_not_change_the_output(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
+    def test_jobs_do_not_change_the_output(self):
         a = dumps(census_to_json(census(F3, 6, jobs=1)))
         b = dumps(census_to_json(census(F3, 6, jobs=2)))
         assert a == b
@@ -408,9 +355,8 @@ class TestCensus:
 
     @pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (2, 3), (3, 2)])
     def test_jobs2_matches_golden_with_cold_and_warm_caches(self, monkeypatch, p, k):
-        # forked workers inherit the parent's root and default-modulus caches,
-        # so a census must not depend on what they hold
-        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
+        # a census must not depend on what the root and default-modulus
+        # caches hold, nor on jobs
         golden = (Path(__file__).parent / "data" / f"census_gf{p**k}.json").read_text()
         fields._finite_root.cache_clear()
         for key in [key for key in fields._FIELDS if key[0] == "GF" and len(key) == 3]:
@@ -420,76 +366,10 @@ class TestCensus:
         assert dumps(census_to_json(census(F, jobs=1))) == golden
         assert dumps(census_to_json(census(F, jobs=2))) == golden
 
-    def test_jobs_capped_at_the_cpu_count(self, monkeypatch, fake_fork):
-        started = fake_fork
-        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        golden = (Path(__file__).parent / "data" / "census_gf3.json").read_text()
-        assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
-        assert len(started) == 2  # this process computes the first chunk
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert dumps(census_to_json(census(F3, jobs=10**6))) == golden
-        assert len(started) == 2
-
-    @pytest.mark.parametrize("p", [5, 11])
-    def test_jobs_capped_by_the_grain(self, monkeypatch, fake_fork, p):
-        # below two grains of algebras a census runs in this process: GF(11)
-        # has 14,641, GF(13) 28,561
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        golden = (Path(__file__).parent / "data" / f"census_gf{p}.json").read_text()
-        assert dumps(census_to_json(census(GF(p), jobs=2))) == golden
-        assert fake_fork == []
-
-    def test_gf13_forks_once_and_matches_golden(self, monkeypatch):
-        import multiprocessing
-
-        # the fork context is one shared object, so the census starts its
-        # children through this wrapper
-        ctx, started = multiprocessing.get_context("fork"), []
-        process = ctx.Process
-        monkeypatch.setattr(ctx, "Process", lambda **kw: started.append(kw) or process(**kw))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        golden = (Path(__file__).parent / "data" / "census_gf13.json").read_text()
-        assert dumps(census_to_json(census(GF(13), jobs=2))) == golden
-        assert len(started) == 1
-        assert multiprocessing.active_children() == []
-
     def test_jobs_below_one_run_in_this_process(self):
         golden = (Path(__file__).parent / "data" / "census_gf3.json").read_text()
         assert dumps(census_to_json(census(F3, jobs=0))) == golden
         assert dumps(census_to_json(census(F3, jobs=-3))) == golden
-
-    @pytest.mark.parametrize("failing,field", [("child", F5), ("caller", GF(11))])
-    def test_a_failing_chunk_raises_and_leaves_no_process(self, monkeypatch, failing, field):
-        # the caller computes the chunk starting at index 0, a forked child
-        # the other one; a child's exception comes back over its pipe, and
-        # when the caller's own chunk fails the child is stopped: its half of
-        # GF(11) is more than a pipe holds, so a child left to finish would
-        # block in send and the join would not return
-        import multiprocessing
-
-        chunk = oracle._phase1_chunk
-
-        def failing_chunk(F, lo, hi, max_ext):
-            if (lo == 0) == (failing == "caller"):
-                raise ChunkFailure(lo)
-            return chunk(F, lo, hi, max_ext)
-
-        def timed_out(signum, frame):
-            raise TimeoutError("census did not return")
-
-        monkeypatch.setattr(oracle, "_phase1_chunk", failing_chunk)
-        monkeypatch.setattr(oracle, "_MIN_CHUNK", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(30)
-        try:
-            with pytest.raises(ChunkFailure):
-                census(field, jobs=2)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
 
     def test_shared_seed_orbit_clears_flags(self, monkeypatch):
         # every key seeded from one representative: the later seeds land in
