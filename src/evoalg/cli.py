@@ -202,8 +202,13 @@ def _maybe_json(s: str):
     return s
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # the one `evoalg: ...` line of any input error, no usage lines
+        raise SchemaError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="evoalg",
         description=(
             "Classify 2-dimensional evolution algebras over exact fields, "
@@ -276,8 +281,8 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
+    except SystemExit:  # --help; parse errors raise SchemaError
+        return 0
     except _INPUT_ERRORS as e:
         print(f"evoalg: {e}", file=sys.stderr)
         return 1

@@ -24,7 +24,9 @@ Roots over a finite field are the least root in canonical order. A field with
 tables is scanned element by element; in a larger one, the roots come from
 gcd(f, y^q - y) and Cantor-Zassenhaus splitting, all of them, with every
 power taken in that ring (in GF(p)[y]/(f) when f lies over GF(p)), and the
-least is taken, so both give the same root.
+least is taken, so both give the same root. A binomial y^n - u over GF(p)
+whose roots lie only in the extension is searched in neither: its roots
+there are s x^j with s in GF(p), and s is found in GF(p) (`_finite_root`).
 The default modulus is the first irreducible in base-p scan order. Primality
 is deterministic Miller-Rabin with the prime bases up to 41, exact below
 3.317e24; a p at or above that bound that no base proves composite is refused
@@ -1367,7 +1369,26 @@ def _root_raw(field: FieldCtx, coeffs: tuple):
 def _finite_root(field: FieldCtx, coeffs: tuple):
     """`_root_raw` over a finite field, on raw coefficients: (field2, raw
     root, embedding). Fields are interned and the answer is deterministic, so
-    each (field, coeffs) is solved once while it stays in the cache."""
+    each (field, coeffs) is solved once while it stays in the cache.
+
+    A monic binomial y^n - u over GF(p) with n | p - 1 and u no n-th power
+    (Euler's criterion) is solved in GF(p): the extension's modulus is then
+    x^n - nu (see `_first_irreducible`), and as GF(p) holds the n-th roots of
+    unity every root is s x^j for the one j in 1..n-1 that makes
+    w = u nu^-j an n-th power, with s^n = w. Raw s x^j is s p^j, so the
+    first root is p^j times the first s. Any other polynomial is searched
+    for a root in the field, then in the extension of its degree."""
+    n, p = len(coeffs) - 1, field.char
+    if field.k == 1 and (p - 1) % n == 0 and coeffs[0] and coeffs[-1] == 1 and not any(coeffs[1:-1]):
+        e, u = (p - 1) // n, p - coeffs[0]
+        if pow(u, e, p) != 1:
+            ext, emb = extension_of(field, n)
+            if not any(ext.modulus[1:-1]):
+                nu_inv = pow(-ext.modulus[0], -1, p)
+                for j in range(1, n):
+                    w = u * pow(nu_inv, j, p) % p
+                    if pow(w, e, p) == 1:
+                        return ext, p**j * _first_root_raw(field, (p - w, *(0,) * (n - 1), 1)), emb
     root = _first_root_raw(field, coeffs)
     if root is not None:
         return field, root, embed(field, field)

@@ -392,9 +392,25 @@ _EDGE_INPUTS = [
     ("census-65-levels", ["census", "--field", _DEEP], 1, False),
     ("t2map-zero-denominator", ["t2map", "--label", "E6", "--param", "1/0"], 1, False),
     ("verify-iso-no-target", ["verify", "-a", _q_alg("1", "0", "0", "1"), "-g", "[[1,0],[0,1]]", "--mode", "iso:"], 1, False),
+    # argument errors: one line, no usage text
+    ("classify-no-algebra", ["classify"], 1, False),
+    ("unknown-subcommand", ["frob"], 1, False),
+    ("census-jobs-not-int", ["census", "--field", json.dumps(GF5), "--jobs", "x"], 1, False),
+    ("unknown-flag", ["classify", "-a", _q_alg("1", "0", "0", "1"), "--frob"], 1, False),
+    # 5 is no cube mod 2^61 - 1 and 2 no square mod 999999999989: witnesses in
+    # GF(p^3) and GF(p^2), whose moduli are the binomials x^3 - 5 and x^2 + 2
+    ("classify-e3-gf2^61-1", ["classify", "-a", _gf_alg(2**61 - 1, 1, 0, 5, 1, 0)], 0, False),
+    ("classify-e4-2.1.1-gf999999999989", ["classify", "-a", _gf_alg(999999999989, 1, 1, 2, 1, 2)], 0, False),
 ]
-_ONE_SECOND = {"aut-e4-gf3^64", "aut-e3-gf2^84", "aut-e3-gf2^129"}  # wall bound 1 s instead of 10 s
-_GOLDEN = {"aut-e3-gf2^256": "aut_e3_gf2_256.json", "iso-e3-e6-gf2^256": "iso_e3_e6_gf2_256.json"}
+_ONE_SECOND = {
+    "aut-e4-gf3^64", "aut-e3-gf2^84", "aut-e3-gf2^129", "classify-e3-gf2^61-1", "classify-e4-2.1.1-gf999999999989",
+}  # wall bound 1 s instead of 10 s
+_GOLDEN = {
+    "aut-e3-gf2^256": "aut_e3_gf2_256.json",
+    "iso-e3-e6-gf2^256": "iso_e3_e6_gf2_256.json",
+    "classify-e3-gf2^61-1": "classify_e3_gf2_61m1.json",
+    "classify-e4-2.1.1-gf999999999989": "classify_e4_gf999999999989.json",
+}
 
 
 class TestEdgeInputs:
@@ -418,7 +434,14 @@ class TestEdgeInputs:
 
     @pytest.mark.parametrize(
         "name, fault",
-        [("t2map-zero-denominator", "bad rational '1/0': zero denominator"), ("verify-iso-no-target", "iso: needs a target algebra")],
+        [
+            ("t2map-zero-denominator", "bad rational '1/0': zero denominator"),
+            ("verify-iso-no-target", "iso: needs a target algebra"),
+            ("classify-no-algebra", "required: -a/--algebra"),
+            ("unknown-subcommand", "invalid choice: 'frob'"),
+            ("census-jobs-not-int", "--jobs: invalid int value: 'x'"),
+            ("unknown-flag", "unrecognized arguments: --frob"),
+        ],
     )
     def test_error_line_names_the_fault(self, name, fault):
         argv = next(argv for n, argv, _code, _slow in _EDGE_INPUTS if n == name)

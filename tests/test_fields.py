@@ -174,7 +174,7 @@ class TestSolvedOnce:
         poly = self._nonsquare_poly(field)
         ext, root, emb = find_root(field, poly)
         solved = len(calls)
-        assert solved >= 2  # the base field, its quadratic extension and any embedding
+        assert solved >= 1  # GF(13^2) and its extension, and any embedding; over GF(5) the one GF(5) root of w
         assert find_root(field, poly) == (ext, root, emb)
         assert len(calls) == solved
         mapped = Poly(ext, [Fel(ext, emb.raw(c)) for c in poly.coeffs])

@@ -202,6 +202,46 @@ class TestRootsAgainstScan:
             assert fields_mod._first_root_raw(K, coeffs) == ref_scan(K, coeffs)
 
 
+SWEEP_PRIMES = [p for p in range(37, 300) if ref_is_prime(p)] + [10007, 1000003, 2**31 - 1, 999999999989, 2**61 - 1]
+
+
+def _coset_radicands(p, n):
+    """One seeded u from each coset of GF(p)* modulo n-th powers; u^e for
+    e = (p - 1) / gcd(n, p - 1) names the coset."""
+    rng, e, found = random.Random(p * n), (p - 1) // math.gcd(n, p - 1), {}
+    while len(found) < math.gcd(n, p - 1):
+        u = rng.randrange(1, p)
+        found.setdefault(pow(u, e, p), u)
+    return sorted(found.values())
+
+
+class TestPrimeFieldBinomials:
+    """y^n = u over GF(p) is solved through GF(p) when its root needs an
+    extension; the first root is the one the search in the field, then in
+    the extension, finds."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_first_root_agrees_with_the_search(self, n):
+        for p in SWEEP_PRIMES:
+            F = GF(p)
+            for u in _coset_radicands(p, n):
+                coeffs = (p - u,) + (0,) * (n - 1) + (1,)
+                want = F, fields_mod._first_root_raw(F, coeffs)
+                if want[1] is None:
+                    ext, _ = fields_mod.extension_of(F, n)
+                    want = ext, fields_mod._first_root_raw(ext, coeffs)
+                fields_mod._finite_root.cache_clear()
+                assert fields_mod._finite_root(F, coeffs)[:2] == want, (p, n, u)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_extension_modulus_is_a_binomial(self, n):
+        # the step needs x^n - nu; any other modulus would leave it to the search
+        for p in SWEEP_PRIMES:
+            if (p - 1) % n == 0:
+                m = fields_mod.extension_of(GF(p), n)[0].modulus
+                assert m[0] and not any(m[1:-1]), (p, n, m)
+
+
 EMBEDDING_PAIRS = [
     (p, a, b)
     for p in (2, 3, 5, 7)
