@@ -25,10 +25,11 @@ tables is scanned element by element; in a larger one, the roots come from
 gcd(f, y^q - y) and Cantor-Zassenhaus splitting, all of them, with every
 power taken in that ring (in GF(p)[y]/(f) when f lies over GF(p)), and the
 least is taken, so both give the same root. A binomial y^n - u over GF(p)
-whose roots lie only in the extension is searched in neither: its roots
-there are s x^j with s in GF(p), and s is found in GF(p) (`_finite_root`).
-The default modulus is the first irreducible in base-p scan order. Primality
-is deterministic Miller-Rabin with the prime bases up to 41, exact below
+is searched in neither: its roots in GF(p), and the s of its roots s x^j
+in the extension, come by modular exponentiation (`_pf_root`). The default
+modulus is the first irreducible in base-p scan order, a binomial picked by
+Euler's criterion when one can be irreducible. Primality is deterministic
+Miller-Rabin with the prime bases up to 41, as few as n allows, exact below
 3.317e24; a p at or above that bound that no base proves composite is refused
 with FieldError. `field_make` checks each descriptor once, before its field
 is interned: p, k and the modulus coefficients must be ints, and
@@ -105,10 +106,14 @@ class NeedsExtension(FieldError):
         return f"needs an extension containing a root of {self.poly}"
 
 
-# Miller-Rabin with the prime bases up to 41 decides every n below this bound
-# (Sorenson and Webster 2015); the bound itself is a strong pseudoprime to them.
+# Miller-Rabin with the prime bases up to _MR_BASES[j] decides every n below
+# _MR_PSI[j], the least strong pseudoprime to all of them (OEIS A014233;
+# Sorenson and Webster 2015 for the last two, the bound).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+           341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+_MR_BOUND = _MR_PSI[-1]
 
 
 def _is_int(x) -> bool:
@@ -116,9 +121,10 @@ def _is_int(x) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin. A base that witnesses compositeness proves
-    it at any size; an n >= _MR_BOUND that no base witnesses is left
-    undecided and raises FieldError."""
+    """Deterministic Miller-Rabin, stopping after base j once n < _MR_PSI[j]:
+    a p near 10^12 takes 5 bases, not 13. A base that witnesses
+    compositeness proves it at any size; an n >= _MR_BOUND that no base
+    witnesses is left undecided and raises FieldError."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -126,22 +132,21 @@ def _is_prime(n: int) -> bool:
             return n == b
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    for b in _MR_BASES:
+    for b, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_BOUND:
-        raise FieldError(
-            f"cannot decide whether {n} is prime: the primality test is exact "
-            f"only below {_MR_BOUND}"
-        )
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise FieldError(
+        f"cannot decide whether {n} is prime: the primality test is exact "
+        f"only below {_MR_BOUND}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +456,8 @@ def _pf_is_irreducible(m, f, rootless=False) -> bool:
     k, p = len(m) - 1, f.p
     if k < 1 or k > 1 and m[0] == 0:
         return False  # a constant, or x divides m
+    if rootless and k < 4:
+        return True  # a reducible m of degree 2 or 3 has a linear factor
     ring, h, acc = _PolyMod(p, m), p, 1  # p is the index of x, 1 of the constant 1
     for i in range(1, k // 2 + 1):
         h = ring.pow(h, p)
@@ -532,8 +539,10 @@ def _first_irreducible(p: int, k: int) -> tuple:
 
     The first p candidates are the binomials x^k + c0. Some c0 makes one
     irreducible iff every prime factor of k divides p - 1, and 4 | p - 1 when
-    4 | k (Lidl and Niederreiter, Finite Fields, Theorem 3.75); otherwise the
-    scan starts past them, which spares up to p tests and changes no result.
+    4 | k; then x^k + c0 is irreducible iff -c0 is no r-th power for each
+    prime r | k (Lidl and Niederreiter, Finite Fields, Theorem 3.75), which
+    Euler's criterion tells without Ben-Or's test. Otherwise the scan starts
+    past them, which spares up to p tests and changes no result.
 
     For k >= 2 a candidate with a root in GF(p) is reducible. When p <= 8k^2
     the scan drops those before Ben-Or's test, which then starts at i = 2.
@@ -548,13 +557,16 @@ def _first_irreducible(p: int, k: int) -> tuple:
     rest = k
     while (d := math.gcd(rest, p - 1)) > 1:
         rest //= d
-    start = 0 if rest == 1 and (k % 4 or p % 4 == 1) else p
-    sieve = k > 1 and p <= 8 * k * k
+    if rest == 1 and (k % 4 or p % 4 == 1):
+        rs = [r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)]
+        c0 = next(c for c in range(k > 1, p) if all(pow(p - c, (p - 1) // r, p) != 1 for r in rs))
+        return (c0, *[0] * (k - 1), 1)  # for k = 1, x
+    sieve = p <= 8 * k * k  # k > 1 here
     neg_pow = [-pow(a, k, p) for a in range(p)] if sieve else None
-    for idx in range(start, p**k):
+    for idx in range(p, p**k):
         if sieve:
             high, c0 = divmod(idx, p)
-            if not c0:  # a new block, as start is: the c0 that give a root
+            if not c0:  # a new block, as idx = p is: the c0 that give a root
                 hs, rooted = _digits(high, p)[::-1], set()
                 for a in range(p):
                     v = 0
@@ -1365,30 +1377,60 @@ def _root_raw(field: FieldCtx, coeffs: tuple):
     return field, r, None if r is None else embed(field, field)
 
 
+def _pf_root(w: int, n: int, p: int):
+    """The least s in GF(p) with s^n = w, or None, for n prime or prime to
+    p - 1. In the second case s = w^(n^-1 mod p-1). Otherwise, by
+    Adleman-Manders-Miller: with p - 1 = n^M Q, n prime to Q, R =
+    w^(n^-1 mod Q) leaves t = R^n / w in the Sylow n-subgroup, generated by
+    c = z^Q for the least non-n-th power z; R times powers of c lowers the
+    order of t to 1, and the roots are R zeta^m, zeta = z^((p-1)/n) a
+    primitive n-th root of unity."""
+    if w == 0:
+        return 0
+    if math.gcd(n, p - 1) == 1:
+        return pow(w, pow(n, -1, p - 1), p)
+    e = (p - 1) // n
+    if pow(w, e, p) != 1:
+        return None  # Euler's criterion
+    q, M = e, 1
+    while q % n == 0:
+        q, M = q // n, M + 1
+    z, zeta = next((z, y) for z in range(2, p) if (y := pow(z, e, p)) != 1)
+    c, R = pow(z, q, p), pow(w, pow(n, -1, q), p)
+    t = pow(R, n, p) * pow(w, -1, p) % p
+    while t != 1:
+        i, y = 0, t
+        while y != 1:  # the order of t is n^i; `last` = t^(n^(i-1)) = zeta^k
+            last, y, i = y, pow(y, n, p), i + 1
+        k = next(k for k in range(1, n) if pow(zeta, k, p) == last)
+        b = pow(c, (n - k) * n ** (M - 1 - i), p)  # b^(n^i) = zeta^-k
+        R, t = R * b % p, t * pow(b, n, p) % p
+    return min(R * pow(zeta, m, p) % p for m in range(n))
+
+
 @functools.lru_cache(maxsize=_ROOT_CACHE_MAX)
 def _finite_root(field: FieldCtx, coeffs: tuple):
     """`_root_raw` over a finite field, on raw coefficients: (field2, raw
     root, embedding). Fields are interned and the answer is deterministic, so
     each (field, coeffs) is solved once while it stays in the cache.
 
-    A monic binomial y^n - u over GF(p) with n | p - 1 and u no n-th power
-    (Euler's criterion) is solved in GF(p): the extension's modulus is then
-    x^n - nu (see `_first_irreducible`), and as GF(p) holds the n-th roots of
-    unity every root is s x^j for the one j in 1..n-1 that makes
-    w = u nu^-j an n-th power, with s^n = w. Raw s x^j is s p^j, so the
-    first root is p^j times the first s. Any other polynomial is searched
-    for a root in the field, then in the extension of its degree."""
+    A monic binomial y^n - u over GF(p), n >= 2, is solved by `_pf_root`: in
+    GF(p) when u is an n-th power, else in the extension, whose modulus is
+    then x^n - nu (see `_first_irreducible`). GF(p) holds the n-th roots of
+    unity, so every root there is s x^j for the one j in 1..n-1 that makes
+    w = u nu^-j an n-th power, with s^n = w; raw s x^j is s p^j, least with
+    s. Any other polynomial is searched for a root in the field, then in the
+    extension of its degree."""
     n, p = len(coeffs) - 1, field.char
-    if field.k == 1 and (p - 1) % n == 0 and coeffs[0] and coeffs[-1] == 1 and not any(coeffs[1:-1]):
-        e, u = (p - 1) // n, p - coeffs[0]
-        if pow(u, e, p) != 1:
-            ext, emb = extension_of(field, n)
-            if not any(ext.modulus[1:-1]):
-                nu_inv = pow(-ext.modulus[0], -1, p)
-                for j in range(1, n):
-                    w = u * pow(nu_inv, j, p) % p
-                    if pow(w, e, p) == 1:
-                        return ext, p**j * _first_root_raw(field, (p - w, *(0,) * (n - 1), 1)), emb
+    if field.k == 1 and n > 1 and coeffs[-1] == 1 and not any(coeffs[1:-1]):
+        u = -coeffs[0] % p
+        if (s := _pf_root(u, n, p)) is not None:
+            return field, s, embed(field, field)
+        ext, emb = extension_of(field, n)
+        nu = -ext.modulus[0] % p
+        for j in range(1, n):
+            if (s := _pf_root(u * pow(nu, -j, p) % p, n, p)) is not None:
+                return ext, p**j * s, emb
     root = _first_root_raw(field, coeffs)
     if root is not None:
         return field, root, embed(field, field)

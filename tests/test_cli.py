@@ -401,15 +401,22 @@ _EDGE_INPUTS = [
     # GF(p^3) and GF(p^2), whose moduli are the binomials x^3 - 5 and x^2 + 2
     ("classify-e3-gf2^61-1", ["classify", "-a", _gf_alg(2**61 - 1, 1, 0, 5, 1, 0)], 0, False),
     ("classify-e4-2.1.1-gf999999999989", ["classify", "-a", _gf_alg(999999999989, 1, 1, 2, 1, 2)], 0, False),
+    # 3 is no square mod 998244353 = 119 * 2^23 + 1, so the E4 witness lies in
+    # GF(p^2); 1/2 is a cube mod 109, whose p - 1 = 4 * 27
+    ("classify-e4-gf998244353", ["classify", "-a", _gf_alg(998244353, 1, 1, 3, 0, 0)], 0, False),
+    ("classify-e3-gf109", ["classify", "-a", _gf_alg(109, 1, 0, 2, 1, 0)], 0, False),
 ]
 _ONE_SECOND = {
     "aut-e4-gf3^64", "aut-e3-gf2^84", "aut-e3-gf2^129", "classify-e3-gf2^61-1", "classify-e4-2.1.1-gf999999999989",
+    "classify-e4-gf998244353", "classify-e3-gf109",
 }  # wall bound 1 s instead of 10 s
 _GOLDEN = {
     "aut-e3-gf2^256": "aut_e3_gf2_256.json",
     "iso-e3-e6-gf2^256": "iso_e3_e6_gf2_256.json",
     "classify-e3-gf2^61-1": "classify_e3_gf2_61m1.json",
     "classify-e4-2.1.1-gf999999999989": "classify_e4_gf999999999989.json",
+    "classify-e4-gf998244353": "classify_e4_gf998244353.json",
+    "classify-e3-gf109": "classify_e3_gf109.json",
 }
 
 

@@ -170,11 +170,13 @@ class TestSolvedOnce:
     @pytest.mark.parametrize("field", [GF(13, 2), F5])
     def test_repeat_find_root_is_not_solved_again(self, monkeypatch, field):
         fields_mod._finite_root.cache_clear()
-        calls = self._count(monkeypatch, "_first_root_raw")
+        # GF(13^2) searches itself, its extension and any embedding; over GF(5)
+        # the binomial is solved by the prime-field root alone
+        calls = self._count(monkeypatch, "_first_root_raw" if field.k > 1 else "_pf_root")
         poly = self._nonsquare_poly(field)
         ext, root, emb = find_root(field, poly)
         solved = len(calls)
-        assert solved >= 1  # GF(13^2) and its extension, and any embedding; over GF(5) the one GF(5) root of w
+        assert solved >= 1
         assert find_root(field, poly) == (ext, root, emb)
         assert len(calls) == solved
         mapped = Poly(ext, [Fel(ext, emb.raw(c)) for c in poly.coeffs])

@@ -45,6 +45,29 @@ def ref_is_prime(n):
     return all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
+# psi_j, the least strong pseudoprime to the first j prime bases (OEIS A014233)
+A014233 = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 341550071728321,
+    3825123056546413051, 3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+]
+
+
+def ref_miller_rabin(n):
+    """Miller-Rabin with all 13 prime bases up to 41, whatever the size of n."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    for b in bases:
+        x = pow(b, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
 def _ref_trim(cs):
     cs = list(cs)
     while cs and cs[-1] == 0:
@@ -242,6 +265,60 @@ class TestPrimeFieldBinomials:
                 assert m[0] and not any(m[1:-1]), (p, n, m)
 
 
+# p - 1 with a large 2- or 3-part: 2 * 3^4, 2 * 3^5, 2^16, 3 * 2^18, 119 * 2^23
+TWO_THREE_PRIMES = [163, 487, 65537, 786433, 998244353]
+
+
+class TestPrimeFieldRoots:
+    """`_pf_root` by exponentiation against the least root the search finds."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_radicand_below_300(self, n):
+        for p in range(2, 300):
+            if ref_is_prime(p):
+                F = GF(p)
+                for w in range(p):
+                    want = fields_mod._first_root_raw(F, (-w % p,) + (0,) * (n - 1) + (1,))
+                    assert fields_mod._pf_root(w, n, p) == want, (p, n, w)
+
+    @pytest.mark.parametrize("p", TWO_THREE_PRIMES)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_powers_and_non_powers(self, p, n):
+        # w = s^n has a least root r <= s; when n | p - 1, g w for a non-power
+        # g has none (for n = 3 over 65537 every w is a cube)
+        rng, F, g = random.Random(p * n), GF(p), None
+        if (p - 1) % n == 0:
+            g = next(g for g in range(2, p) if pow(g, (p - 1) // n, p) != 1)
+        for _ in range(40):
+            s = rng.randrange(1, p)
+            w = pow(s, n, p)
+            r = fields_mod._pf_root(w, n, p)
+            assert pow(r, n, p) == w and r <= s, (p, n, w)
+            assert r == fields_mod._first_root_raw(F, (p - w,) + (0,) * (n - 1) + (1,)), (p, n, w)
+            if g is not None:
+                assert fields_mod._pf_root(g * w % p, n, p) is None, (p, n, w)
+                assert fields_mod._first_root_raw(F, (p - g * w % p,) + (0,) * (n - 1) + (1,)) is None
+
+
+def ref_first_irreducible_ben_or(p, k):
+    """The first monic irreducible by Ben-Or's test on every candidate in
+    base-p scan order, binomials included."""
+    return next(m for m in _monics(p, k) if fields_mod._pf_is_irreducible(m, GF(p)))
+
+
+class TestBinomialModuli:
+    def test_binomials_against_the_ben_or_scan(self):
+        cases = 0
+        for p in range(3, 200):
+            for k in range(2, 7):
+                primes = [r for r in range(2, k + 1) if k % r == 0 and ref_is_prime(r)]
+                if ref_is_prime(p) and all((p - 1) % r == 0 for r in primes) and (k % 4 or p % 4 == 1):
+                    m = fields_mod._first_irreducible(p, k)
+                    assert not any(m[1:-1]) and m == ref_first_irreducible_ben_or(p, k), (p, k)
+                    cases += 1
+        assert cases == 118  # k = 2 for all 45 odd p, and 3, 4, 5, 6 where p - 1 allows
+
+
 EMBEDDING_PAIRS = [
     (p, a, b)
     for p in (2, 3, 5, 7)
@@ -402,6 +479,26 @@ class TestPrimality:
         assert not fields_mod._is_prime(n)
         with pytest.raises(NonPrimeModulus):
             GF(n)
+
+    def test_each_psi_is_composite(self):
+        # psi_j passes the first j bases, so a later base must refuse it; the
+        # last passes all 13 and is refused as undecided
+        assert list(fields_mod._MR_PSI) == A014233
+        assert A014233[-1] == fields_mod._MR_BOUND
+        for psi in A014233[:-1]:
+            assert not fields_mod._is_prime(psi), psi
+        with pytest.raises(FieldError, match="cannot decide"):
+            fields_mod._is_prime(A014233[-1])
+
+    def test_agrees_with_all_13_bases(self):
+        rng = random.Random(2047)
+        ns = [rng.getrandbits(rng.randrange(2, 65)) for _ in range(10**4)]
+        for n in ns + [psi + d for psi in A014233 for d in (-2, 2)]:
+            if n >= fields_mod._MR_BOUND and ref_miller_rabin(n):
+                with pytest.raises(FieldError, match="cannot decide"):
+                    fields_mod._is_prime(n)
+            else:
+                assert fields_mod._is_prime(n) == ref_miller_rabin(n), n
 
     def test_large_primes_below_the_bound(self):
         for p in (999999999989, 2**61 - 1, 2**31 - 1):
